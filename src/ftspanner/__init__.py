@@ -9,7 +9,7 @@ checks the fault-tolerant stretch guarantee exhaustively on small inputs.
 from ftspanner.graphs import Graph, Path, dist, generate, load_graph
 from ftspanner.meta import build_ft_spanner, check_invariants
 from ftspanner.warmup import build_3spanner
-from ftspanner.detkit import build_ft_spanner_det, beta_hitting_set, hitting_set
+from ftspanner.detkit import build_ft_spanner_det, beta_hitting_set
 from ftspanner.verify import is_protected, verify_certificate, verify_spanner
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "build_ft_spanner_det",
     "build_3spanner",
     "check_invariants",
-    "hitting_set",
     "beta_hitting_set",
     "is_protected",
     "verify_spanner",

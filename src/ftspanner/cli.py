@@ -125,7 +125,7 @@ def cmd_certificate(args) -> int:
 
 
 _LOG_TAGS = {"paths": 1, "center": 2, "heads": 3, "edge-state": 4,
-             "register": 5, "tree": 6}
+             "register": 5}
 
 
 def _dump_message_log(log, path: str):

@@ -4,18 +4,20 @@ The transport enforces the bandwidth model: per round, each directed edge
 carries at most one message of at most B = c_b * ceil(log2 n) bits; a
 vertex id costs ceil(log2 n) bits, a weight ceil(log2 Wmax) bits, an edge
 id ceil(log2 m) bits. Longer payloads are pipelined as B-bit chunks.
-Node handlers read only their own state and inbox; every random draw
-comes from the same per-(vertex, phase) streams the sequential build
-uses, so the simulated output matches it edge for edge.
 
-Phase choreography: (a) each clustered vertex samples its cluster paths
-and pipelines them to its remaining-edge neighbors; (b) purely local fan
-computation; (c) surviving centers flip their own coins and the result is
-announced down the previous clustering's trees; (d) each vertex sends a
-bitmask telling neighbors which of its transmitted samples now head a
-surviving cluster; (e) cluster/purchase decisions are made locally and
-one exchange settles the deferred-edge set; (f) owners register the new
-cluster trees edge by edge so the next phase can broadcast on them.
+The simulation is meta.run_phases with a Network as its transport. Each
+of the driver's message steps is a Network method, and each answer it
+gives a vertex is read from that vertex's own state and inbox: (a)
+`paths`: each clustered vertex pipelines its sampled cluster paths to its
+remaining-edge neighbors; (b) the fan computation is local; (c) `heads`
+announces the surviving centers down the previous clustering's trees
+and then (d) sends each neighbor a bitmask telling which of the
+transmitted samples head a surviving cluster; (e) `edge_state` follows
+the local cluster/purchase decisions with one exchange that settles the
+deferred-edge set; (f) `register` lets owners register the new cluster
+trees edge by edge so the next phase can broadcast on them. Every random
+draw comes from the per-(vertex, phase) streams the sequential build
+uses, so the simulated output matches it edge for edge.
 """
 
 from __future__ import annotations
@@ -23,10 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ftspanner.graphs import Graph, Path
-from ftspanner.meta import build_fan, choose_cluster, le_edge_ids, sample_fan_paths
-from ftspanner.result import PhaseTrace, SpannerResult, meta_size_bound
-from ftspanner.rng import vertex_stream
+from ftspanner.graphs import Graph
+from ftspanner.meta import random_steps, run_phases
+from ftspanner.result import SpannerResult, meta_size_bound
+# Unused here; the traced benchmark (perfbench/layers.py) patches these
+# names on this module, so they stay importable from it.
+from ftspanner.meta import build_fan, choose_cluster, le_edge_ids, sample_fan_paths  # noqa: F401
+from ftspanner.rng import vertex_stream  # noqa: F401
 
 
 class BandwidthExceeded(RuntimeError):
@@ -61,7 +66,11 @@ class RoundReport:
 
 
 class Network:
-    """Round-synchronous transport with per-directed-edge bandwidth checks."""
+    """Round-synchronous transport with per-directed-edge bandwidth checks.
+
+    paths, heads, edge_state and register are the message steps that
+    meta.run_phases calls once per phase (register only before the last).
+    """
 
     def __init__(self, g: Graph, c_b: int = 4, record_messages: bool = False):
         n = g.n
@@ -74,6 +83,8 @@ class Network:
         self.bits_total = 0
         self.max_bits = 0
         self.log: list | None = [] if record_messages else None
+        self.phase_starts: list[int] = []
+        self.children: dict = {}  # (root, vertex) -> vertex's children in root's tree
 
     def queue(self, bits: int, tag: str, payload) -> list:
         """Chunk a payload of `bits` bits into per-round messages; the
@@ -114,84 +125,130 @@ class Network:
                     inboxes.setdefault(edge, []).append(payload)
         return inboxes, depth
 
+    def paths(self, samples, inc):
+        """(a) Pipeline each vertex's sample list to its remaining-edge
+        neighbors. Returns v -> {neighbor: the sample list v received}."""
+        self.phase_starts.append(self.round)
+        outboxes: dict = {}
+        for v, s in samples.items():
+            msgs = self.queue(_path_stream_bits(self, s), "paths", tuple(s))
+            for w, eid, u in inc[v]:
+                outboxes[(v, u)] = msgs
+        inbox, _ = self.transmit(outboxes)
+        return lambda v: {u: inbox[(u, v)][0] for (w, eid, u) in inc[v]}
 
-def tree_broadcast(net: Network, trees: dict, payloads: dict) -> tuple[dict, int]:
-    """Deliver each root's payload to every vertex of its tree.
+    def heads(self, centers, samples, inc):
+        """(c) Announce the surviving centers down the registered trees,
+        then (d) send each neighbor one flag per transmitted sample: does
+        its head survive. Returns v -> test of v's fan entries."""
+        # roots enter in ascending order, so the message log does not
+        # depend on how the caller built its center set
+        received, _ = tree_broadcast(self, self.children, set(sorted(centers)))
+        outboxes: dict = {}
+        for u, s in samples.items():
+            got = received.get(u, ())
+            flags = tuple(p.head in got for p in s)
+            msgs = self.queue(len(flags) + 2, "heads", flags)
+            for w, eid, v in inc[u]:
+                outboxes[(u, v)] = msgs
+        inbox, _ = self.transmit(outboxes)
 
-    trees: root -> {child: parent} over the tree's non-root vertices.
+        def head_test(v):
+            got = received.get(v, ())
+
+            def is_head(entry):
+                if entry.src is None:
+                    return entry.path.head in got
+                return inbox[(entry.src, v)][0][entry.sample_idx]
+            return is_head
+        return head_test
+
+    def edge_state(self, inc, thr, le, bought):
+        """(e) Tell every remaining-edge neighbor whether v clustered, its
+        threshold key if so, and whether v bought the edge. Returns
+        v -> (clustered neighbor -> its threshold key, edge ids v knows
+        were bought by either endpoint)."""
+        key_bits = self.weight_bits + self.edge_id_bits
+        le = {v: set(ids) for v, ids in le.items()}
+        outboxes: dict = {}
+        for v, le_v in le.items():
+            ok = v in thr
+            bits = 2 + (key_bits if ok else 0) + 2
+            msgs = [self.queue(bits, "edge-state", (ok, thr.get(v), b))
+                    for b in (False, True)]
+            for w, eid, u in inc[v]:
+                outboxes[(v, u)] = msgs[eid in le_v]
+        inbox, _ = self.transmit(outboxes)
+
+        def peer(v):
+            thr_of, seen = {}, set(le[v])
+            for w, eid, u in inc[v]:
+                ok_u, thr_u, le_u = inbox[(u, v)][0]
+                if ok_u:
+                    thr_of[u] = thr_u
+                if le_u:
+                    seen.add(eid)
+            return thr_of, seen
+        return peer
+
+    def register(self, q):
+        """(f) Walk each new cluster path tail-to-head registering child
+        edges, so parents know whom to forward to. The registration
+        message carries the remaining prefix, which tells every relay its
+        own parent without global knowledge."""
+        self.children = {}
+        pending: list[tuple[int, int, int, tuple]] = []
+        forwarded: dict[int, set] = {}
+        for v in sorted(q):
+            for p in q[v]:
+                if p.hops >= 1:
+                    pending.append((v, p.vertices[-2], p.head, p.vertices[:-1]))
+                    # the owner's own registration already covers its upward
+                    # chain for this tree; relays must not repeat it
+                    forwarded.setdefault(v, set()).add(p.head)
+        while pending:
+            outboxes: dict = {}
+            for sender, receiver, root, prefix in pending:
+                edge = (sender, receiver)
+                if edge in outboxes:
+                    raise BandwidthExceeded(
+                        f"edge {edge} would carry two tree registrations in one "
+                        f"wave; vertex independence violated")
+                bits = (len(prefix) + 1) * self.id_bits + 2
+                outboxes[edge] = self.queue(bits, "register", (root, prefix))
+            inbox, _ = self.transmit(outboxes)
+            pending = []
+            for (sender, receiver), msgs in inbox.items():
+                for root, prefix in msgs:
+                    kids = self.children.setdefault((root, receiver), [])
+                    if sender not in kids:
+                        kids.append(sender)
+                    done = forwarded.setdefault(receiver, set())
+                    if len(prefix) >= 2 and root not in done:
+                        done.add(root)
+                        pending.append((receiver, prefix[-2], root, prefix[:-1]))
+
+
+def tree_broadcast(net: Network, children: dict, roots) -> tuple[dict, int]:
+    """Announce each root to every vertex of its tree, wave by wave.
+
+    children: (root, vertex) -> the vertex's children in root's tree.
     Wave t forwards along depth-t edges; vertex independence keeps each
     directed edge down-forwarding for at most one tree, so one message
     per edge per wave suffices and a collision is a hard failure.
-    Returns (delivered: vertex -> {root: payload}, rounds used).
+    Returns (vertex -> roots announced to it, rounds used).
     """
-    children: dict[tuple[int, int], list[int]] = {}
-    for root, parent_of in trees.items():
-        for child, parent in parent_of.items():
-            children.setdefault((root, parent), []).append(child)
-    delivered: dict[int, dict] = {}
+    received: dict[int, set] = {}
     frontier = []
-    for root, payload in payloads.items():
-        if root not in trees:
-            continue
-        delivered.setdefault(root, {})[root] = payload
-        frontier.append((root, root))
-    rounds = 0
-    while frontier:
-        outboxes: dict = {}
-        meta: dict = {}
-        for root, x in frontier:
-            for child in children.get((root, x), ()):
-                edge = (x, child)
-                if edge in outboxes:
-                    raise BandwidthExceeded(
-                        f"edge {edge} carries two tree announcements in one "
-                        f"wave; vertex independence violated")
-                outboxes[edge] = net.queue(net.id_bits + 2, "tree", root)
-                meta[edge] = (root, child)
-        if not outboxes:
-            break
-        inboxes, used = net.transmit(outboxes)
-        rounds += used
-        nxt = []
-        for edge, msgs in inboxes.items():
-            root, child = meta[edge]
-            delivered.setdefault(child, {})[root] = payloads[root]
-            nxt.append((root, child))
-        frontier = nxt
-    return delivered, rounds
-
-
-@dataclass
-class _Node:
-    v: int
-    clustered: bool = True
-    is_center: bool = True
-    q: tuple = ()
-    inc: list = field(default_factory=list)
-    children: dict = field(default_factory=dict)  # root -> [child, ...]
-
-
-def _path_stream_bits(net: Network, paths) -> int:
-    bits = net.id_bits  # path count prefix
-    for p in paths:
-        bits += len(p.vertices) * net.id_bits
-        bits += len(p.keys) * (net.weight_bits + net.edge_id_bits)
-    return bits
-
-
-def _spread_center_bits(net: Network, nodes, sampled_roots) -> tuple[dict, int]:
-    """Announce sampled roots down the registered trees, wave by wave."""
-    received: dict[int, set] = {v: set() for v in range(len(nodes))}
-    frontier = []
-    for s in sampled_roots:
-        received[s].add(s)
+    for s in roots:
+        received.setdefault(s, set()).add(s)
         frontier.append((s, s))
     rounds = 0
     while frontier:
         outboxes: dict = {}
         meta: dict = {}
         for root, x in frontier:
-            for child in nodes[x].children.get(root, ()):
+            for child in children.get((root, x), ()):
                 edge = (x, child)
                 if edge in outboxes:
                     raise BandwidthExceeded(
@@ -203,60 +260,18 @@ def _spread_center_bits(net: Network, nodes, sampled_roots) -> tuple[dict, int]:
             break
         _, used = net.transmit(outboxes)
         rounds += used
-        nxt = []
-        for edge, (root, child) in meta.items():
-            received[child].add(root)
-            nxt.append((root, child))
-        frontier = nxt
+        frontier = list(meta.values())
+        for root, child in frontier:
+            received.setdefault(child, set()).add(root)
     return received, rounds
 
 
-def _register_trees(net: Network, nodes) -> int:
-    """After the new cluster paths are fixed, walk each path tail-to-head
-    registering child edges, so parents know whom to forward to. The
-    registration message carries the remaining prefix, which tells every
-    relay its own parent without global knowledge."""
-    for node in nodes:
-        node.children = {}
-    pending: list[tuple[int, int, int, tuple]] = []
-    forwarded: dict[int, set] = {v: set() for v in range(len(nodes))}
-    for node in nodes:
-        if not node.clustered:
-            continue
-        for p in node.q:
-            if p.hops >= 1:
-                pending.append((node.v, p.vertices[-2], p.head, p.vertices[:-1]))
-                # the owner's own registration already covers its upward
-                # chain for this tree; relays must not repeat it
-                forwarded[node.v].add(p.head)
-    rounds = 0
-    while pending:
-        outboxes: dict = {}
-        meta: dict = {}
-        for sender, receiver, root, prefix in pending:
-            edge = (sender, receiver)
-            if edge in outboxes:
-                raise BandwidthExceeded(
-                    f"edge {edge} would carry two tree registrations in one "
-                    f"wave; vertex independence violated")
-            bits = (len(prefix) + 1) * net.id_bits + 2
-            outboxes[edge] = net.queue(bits, "register", (root, prefix))
-            meta[edge] = sender
-        inboxes, used = net.transmit(outboxes)
-        rounds += used
-        nxt = []
-        for edge, msgs in inboxes.items():
-            sender = meta[edge]
-            receiver = edge[1]
-            for root, prefix in msgs:
-                kids = nodes[receiver].children.setdefault(root, [])
-                if sender not in kids:
-                    kids.append(sender)
-                if len(prefix) >= 2 and root not in forwarded[receiver]:
-                    forwarded[receiver].add(root)
-                    nxt.append((receiver, prefix[-2], root, prefix[:-1]))
-        pending = nxt
-    return rounds
+def _path_stream_bits(net: Network, paths) -> int:
+    bits = net.id_bits  # path count prefix
+    for p in paths:
+        bits += len(p.vertices) * net.id_bits
+        bits += len(p.keys) * (net.weight_bits + net.edge_id_bits)
+    return bits
 
 
 def simulate_distributed_spanner(g: Graph, f: int, k: int, seed=0,
@@ -266,158 +281,30 @@ def simulate_distributed_spanner(g: Graph, f: int, k: int, seed=0,
     """Run the build as a synchronous message-passing computation.
 
     Output equals build_ft_spanner(g, f, k, seed, variant="seq") edge for
-    edge because both sides draw from the same per-vertex streams and run
-    the same local steps.
+    edge because both run the same driver and the same local steps, and
+    draw from the same per-vertex streams.
     """
-    n = g.n
-    if not (1 <= f < n):
-        raise ValueError(f"need 1 <= f < n, got f={f}, n={n}")
-    if k < 2:
-        raise ValueError(f"need k >= 2, got k={k}")
     net = Network(g, c_b=c_b, record_messages=record_messages)
-    k_f = c_k * k * f
-    ell = max(1, c_s * math.ceil(math.log2(max(n, 2))))
-    p = (f / n) ** (1 / k)
-
-    nodes = [_Node(v, q=(Path.trivial(v),),
-                   inc=[(w, eid, u) for (w, eid, u) in g.adj[v]])
-             for v in range(n)]
-    spanner: set[int] = set()
-    trace: list[PhaseTrace] = []
-    report = RoundReport(bandwidth=net.B, id_bits=net.id_bits,
-                         weight_bits=net.weight_bits,
-                         edge_id_bits=net.edge_id_bits)
-
-    for i in range(1, k + 1):
-        phase_start = net.round
-        active = [v for v in range(n) if nodes[v].clustered]
-
-        # (a) sample locally, pipeline the paths to remaining-edge neighbors.
-        samples_local: dict[int, list] = {}
-        outboxes: dict = {}
-        for v in active:
-            node = nodes[v]
-            s = sample_fan_paths(node.q, vertex_stream(seed, "sample", i, v), ell)
-            samples_local[v] = s
-            bits = _path_stream_bits(net, s)
-            for w, eid, u in node.inc:
-                outboxes[(v, u)] = net.queue(bits, "paths", tuple(s))
-        inboxes, _ = net.transmit(outboxes)
-
-        # (b) local fan computation from own edges plus received samples.
-        fans: dict[int, list] = {}
-        for v in active:
-            node = nodes[v]
-            nbr_samples = {u: list(inboxes.get((u, v), [()])[0])
-                           for (w, eid, u) in node.inc}
-            fans[v] = build_fan(v, node.q, node.inc, nbr_samples, variant="seq")
-
-        # (c) surviving centers flip their own coins; announce down trees.
-        if i < k:
-            sampled_roots = {
-                v for v in range(n)
-                if nodes[v].is_center
-                and vertex_stream(seed, "center", i, v).random() < p}
-        else:
-            sampled_roots = set()
-        for v in range(n):
-            nodes[v].is_center = v in sampled_roots
-        received, _ = _spread_center_bits(net, nodes, sampled_roots)
-
-        # (d) per-neighbor bitmask over the transmitted sample list.
-        outboxes = {}
-        for u in active:
-            node = nodes[u]
-            flags = tuple(
-                (p.head == u and u in sampled_roots) or p.head in received[u]
-                for p in samples_local[u])
-            for w, eid, vnb in node.inc:
-                outboxes[(u, vnb)] = net.queue(len(flags) + 2, "heads", flags)
-        head_flags, _ = net.transmit(outboxes)
-
-        # (e) local cluster/purchase decisions, then one exchange to settle
-        # the deferred-edge set.
-        decisions: dict[int, tuple] = {}
-        new_edges: set[int] = set()
-        for v in active:
-            node = nodes[v]
-            nbr_flags = {u: head_flags.get((u, v), [()])[0]
-                         for (w, eid, u) in node.inc}
-
-            def sampled_head(entry, v=v, nbr_flags=nbr_flags):
-                if entry.src is None:
-                    h = entry.path.head
-                    return (h == v and v in sampled_roots) or h in received[v]
-                return nbr_flags[entry.src][entry.sample_idx]
-
-            ok, q_v, i_v = choose_cluster(fans[v], sampled_head, k_f)
-            le = set(le_edge_ids(fans[v], i_v, node.inc))
-            new_edges |= le
-            decisions[v] = (ok, q_v, i_v, le)
-
-        outboxes = {}
-        for v in active:
-            node = nodes[v]
-            ok, q_v, _, le = decisions[v]
-            thr = max(p2.last_key for p2 in q_v) if ok else None
-            key_bits = net.weight_bits + net.edge_id_bits
-            for w, eid, u in node.inc:
-                payload = (ok, thr, eid in le)
-                outboxes[(v, u)] = net.queue(2 + (key_bits if ok else 0) + 2,
-                                             "edge-state", payload)
-        exchange, _ = net.transmit(outboxes)
-
-        clustered_count = 0
-        for v in active:
-            node = nodes[v]
-            ok, q_v, _, le_v = decisions[v]
-            if ok:
-                for p2 in q_v:
-                    new_edges.update(p2.edges)
-            if not ok:
-                node.clustered = False
-                node.q = ()
-                node.inc = []
-                continue
-            clustered_count += 1
-            thr_v = max(p2.last_key for p2 in q_v)
-            keep = []
-            for idx, (w, eid, u) in enumerate(node.inc):
-                ok_u, thr_u, le_u = exchange[(u, v)][0]
-                if (ok_u and (w, eid) > thr_v and (w, eid) > thr_u
-                        and eid not in le_v and not le_u):
-                    keep.append((w, eid, u))
-            node.q = q_v
-            node.inc = keep
-
-        new_edges -= spanner
-        spanner |= new_edges
-        remaining = set()
-        for v in range(n):
-            if nodes[v].clustered:
-                remaining.update(eid for (w, eid, u) in nodes[v].inc)
-
-        # (f) register the new trees for the next phase's announcements.
-        if i < k:
-            _register_trees(net, nodes)
-
-        report.rounds_per_phase.append(net.round - phase_start)
-        trace.append(PhaseTrace(i, len(sampled_roots), clustered_count,
-                                len(new_edges), len(remaining)))
-
-    report.total_rounds = net.round
-    report.max_bits = net.max_bits
-    report.messages = net.messages
-    report.bits_total = net.bits_total
-    report.log = net.log
+    sample_fn, centers_fn = random_steps(g.n, f, k, seed, c_s)
+    spanner, trace, _, _ = run_phases(g, f, k, sample_fn=sample_fn,
+                                      centers_fn=centers_fn, c_k=c_k,
+                                      transport=net)
+    ends = net.phase_starts[1:] + [net.round]
+    report = RoundReport(
+        total_rounds=net.round,
+        rounds_per_phase=[b - a for a, b in zip(net.phase_starts, ends)],
+        max_bits=net.max_bits, messages=net.messages,
+        bits_total=net.bits_total, bandwidth=net.B, id_bits=net.id_bits,
+        weight_bits=net.weight_bits, edge_id_bits=net.edge_id_bits,
+        log=net.log)
 
     result = SpannerResult(
-        algo="congest-sim", n=n, m=g.m, graph_sha=g.sha(),
+        algo="congest-sim", n=g.n, m=g.m, graph_sha=g.sha(),
         params={"f": f, "k": k, "seed": seed, "c_b": c_b, "c_k": c_k,
                 "c_s": c_s},
         edges=tuple(sorted(spanner)),
         trace=trace,
-        extras={"size_bound": meta_size_bound(n, f, k),
+        extras={"size_bound": meta_size_bound(g.n, f, k),
                 "rounds": report.to_dict()},
     )
     return result, report

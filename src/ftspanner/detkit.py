@@ -90,25 +90,14 @@ def _greedy_max_coverage(sets) -> set:
     return chosen
 
 
-def hitting_set(inst: HittingInstance) -> set:
-    """Deterministic hitting set: intersects every subset, size at most
-    |ground| / delta on admissible instances."""
-    if inst.beta != 1:
-        raise ValueError("use beta_hitting_set for beta > 1")
-    inst.validate()
-    if not inst.sets:
-        return set()
-    return _greedy_max_coverage([sorted(set(s)) for s in inst.sets])
-
-
 def beta_hitting_set(inst: HittingInstance) -> set:
     """Hit every subset at least beta times: split each subset into beta
-    near-equal parts and hit all parts of the induced plain instance."""
+    near-equal parts (one part when beta = 1) and hit all parts of the
+    induced plain instance. The result has at most |ground| / delta
+    elements on admissible instances."""
     inst.validate()
     if not inst.sets:
         return set()
-    if inst.beta == 1:
-        return _greedy_max_coverage([sorted(set(s)) for s in inst.sets])
     parts = []
     for s in inst.sets:
         elems = sorted(set(s))

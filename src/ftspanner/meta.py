@@ -11,9 +11,13 @@ heads keep their K_f lightest such paths as the next cluster paths, and
 everyone else buys all edges into its fan. Edges heavier than both
 endpoints' surviving cluster paths are deferred to the next phase.
 
-The per-vertex steps are pure functions of local data so the distributed
-simulation can reuse them verbatim; all randomness flows through
-per-(vertex, phase) streams.
+run_phases is the one phase loop of every construction path. Whatever a
+vertex learns from its neighbors comes through a transport with one
+method per message step (paths, heads, edge_state, register):
+LocalExchange answers from the driver's own dicts for the sequential
+builds, congest.Network transmits real messages for the simulation. The
+per-vertex steps are pure functions of local data, and all randomness
+flows through per-(vertex, phase) streams.
 """
 
 from __future__ import annotations
@@ -161,17 +165,45 @@ def _incident_lists(g: Graph):
     return {v: [(w, eid, u) for (w, eid, u) in g.adj[v]] for v in range(g.n)}
 
 
+class LocalExchange:
+    """Transport of the sequential builds: every message step answers
+    from the driver's own dicts, so nothing is copied or sent."""
+
+    def paths(self, samples, inc):
+        return lambda v: samples
+
+    def heads(self, centers, samples, inc):
+        is_head = lambda e: e.path.head in centers
+        return lambda v: is_head
+
+    def edge_state(self, inc, thr, le, bought):
+        return lambda v: (thr, bought)
+
+    def register(self, q):
+        pass
+
+
 def run_phases(g: Graph, f: int, k: int, *, sample_fn, centers_fn,
                variant: str = "seq", c_k: int = 20, mis: str = "greedy",
-               pi_rng_fn=None, record_states: bool = False):
+               pi_rng_fn=None, record_states: bool = False, transport=None):
     """Shared phase driver. sample_fn(i, u, q_paths) supplies the per-vertex
     sample list; centers_fn(i, centers, fans) picks the surviving centers
-    (fans provided for deterministic selection)."""
+    (fans provided for deterministic selection).
+
+    transport carries each message step; LocalExchange when None.
+      paths(samples, inc) -> v -> {neighbor: its sample list}
+      heads(centers, samples, inc) -> v -> test of v's fan entries
+      edge_state(inc, thr, le, bought) -> v -> (neighbor -> threshold key
+        of each clustered neighbor, edge ids v knows were bought)
+      register(q) stores the new cluster trees, called before phases < k
+    """
     n = g.n
     if not (1 <= f < n):
         raise ValueError(f"need 1 <= f < n, got f={f}, n={n}")
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
+    if transport is None:
+        transport = LocalExchange()
     k_f = c_k * k * f
 
     centers = frozenset(range(n))
@@ -179,56 +211,64 @@ def run_phases(g: Graph, f: int, k: int, *, sample_fn, centers_fn,
     q = {v: (Path.trivial(v),) for v in range(n)}
     inc = _incident_lists(g)
     spanner: set[int] = set()
-    remaining = frozenset(range(g.m))
     trace: list[PhaseTrace] = []
     states: list[PhaseRecord] = []
     # cutoff indices of clustered vertices, logged per phase; the tail of
     # this distribution is the knob the size argument leans on
     iv_summary: list[dict] = []
     if record_states:
-        states.append(PhaseRecord(0, k, f, k_f, centers, clustered, dict(q),
-                                  frozenset(), remaining))
+        states.append(PhaseRecord(0, k, f, k_f, centers, clustered, q,
+                                  frozenset(), frozenset(range(g.m))))
 
     for i in range(1, k + 1):
         t0 = time.perf_counter()
-        samples = {u: sample_fn(i, u, q[u]) for u in sorted(clustered)}
+        active = sorted(clustered)
+        samples = {u: sample_fn(i, u, q[u]) for u in active}
+        seen = transport.paths(samples, inc)
         fans = {}
-        for v in sorted(clustered):
+        for v in active:
             pi_rng = pi_rng_fn(i, v) if pi_rng_fn is not None else None
-            fans[v] = build_fan(v, q[v], inc[v], samples, variant, mis, pi_rng)
+            fans[v] = build_fan(v, q[v], inc[v], seen(v), variant, mis, pi_rng)
         centers_next = centers_fn(i, centers, fans) if i < k else frozenset()
+        head_test = transport.heads(centers_next, samples, inc)
 
         new_edges: set[int] = set()
         q_next: dict[int, tuple[Path, ...]] = {}
-        clustered_next = set()
+        le: dict[int, list[int]] = {}
         iv_taken: list[int] = []
-        for v in sorted(clustered):
+        for v in active:
             entries = fans[v]
-            ok, q_v, i_v = choose_cluster(
-                entries, lambda e: e.path.head in centers_next, k_f)
+            ok, q_v, i_v = choose_cluster(entries, head_test(v), k_f)
             if ok:
-                clustered_next.add(v)
                 q_next[v] = q_v
                 iv_taken.append(i_v)
-            new_edges.update(le_edge_ids(entries, i_v, inc[v]))
-        for v in clustered_next:
-            for p in q_next[v]:
-                new_edges.update(p.edges)
-        new_edges -= spanner
-        spanner |= new_edges
+            le[v] = le_edge_ids(entries, i_v, inc[v])
+            new_edges.update(le[v])
+        thr = {v: max(p.last_key for p in q_v) for v, q_v in q_next.items()}
+        # new_edges holds exactly the bought edges until the loop below ends
+        peer = transport.edge_state(inc, thr, le, new_edges)
 
-        thr = {v: max(p.last_key for p in q_next[v]) for v in clustered_next}
-        inc_next: dict[int, list] = {v: [] for v in clustered_next}
+        # An edge (v, u) is deferred when ok_u and key > thr_v and
+        # key > thr_u and eid not in le_v and not le_u.
+        inc_next: dict[int, list] = {}
         rem_next: set[int] = set()
-        for v in sorted(clustered_next):
+        for v, tv in thr.items():
+            thr_of, bought = peer(v)
             keep = []
-            tv = thr[v]
             for w, eid, u in inc[v]:
-                if (u in clustered_next and eid not in spanner
-                        and (w, eid) > tv and (w, eid) > thr[u]):
+                if (u in thr_of and eid not in bought
+                        and (w, eid) > tv and (w, eid) > thr_of[u]):
                     keep.append((w, eid, u))
                     rem_next.add(eid)
             inc_next[v] = keep
+        for q_v in q_next.values():
+            for p in q_v:
+                new_edges.update(p.edges)
+        new_edges -= spanner
+        spanner |= new_edges
+        if i < k:
+            transport.register(q_next)
+        clustered_next = frozenset(q_next)
 
         trace.append(PhaseTrace(i, len(centers_next), len(clustered_next),
                                 len(new_edges), len(rem_next),
@@ -241,23 +281,18 @@ def run_phases(g: Graph, f: int, k: int, *, sample_fn, centers_fn,
         })
         if record_states:
             states.append(PhaseRecord(
-                i, k, f, k_f, centers_next, frozenset(clustered_next),
-                dict(q_next), frozenset(spanner), frozenset(rem_next),
+                i, k, f, k_f, centers_next, clustered_next, q_next,
+                frozenset(spanner), frozenset(rem_next),
                 prev_centers=centers, prev_clustered=clustered, prev_q=q))
-        centers, clustered, q, inc = centers_next, frozenset(clustered_next), q_next, inc_next
-        remaining = frozenset(rem_next)
+        centers, clustered, q, inc = centers_next, clustered_next, q_next, inc_next
 
     return spanner, trace, states, iv_summary
 
 
-def build_ft_spanner(g: Graph, f: int, k: int, seed=0, variant: str = "seq",
-                     c_k: int = 20, c_s: int = 4, mis: str = "greedy",
-                     record_states: bool = False) -> SpannerResult:
-    """Randomized build. variant "seq" scans each remaining edge in weight
-    order and takes the first disjoint sampled path of that neighbor;
-    variant "mod" scans all sampled paths in one fixed order (or under a
-    random permutation when mis="parallel")."""
-    n = g.n
+def random_steps(n: int, f: int, k: int, seed, c_s: int):
+    """The randomized sample_fn and centers_fn: up to ell = c_s * log2(n)
+    draws from each cluster-path list, and each center survives a phase
+    with probability p = (f / n)^(1/k)."""
     ell = max(1, c_s * math.ceil(math.log2(max(n, 2))))
     p = (f / n) ** (1 / k)
 
@@ -268,6 +303,19 @@ def build_ft_spanner(g: Graph, f: int, k: int, seed=0, variant: str = "seq",
         return frozenset(
             s for s in centers
             if vertex_stream(seed, "center", i, s).random() < p)
+
+    return sample_fn, centers_fn
+
+
+def build_ft_spanner(g: Graph, f: int, k: int, seed=0, variant: str = "seq",
+                     c_k: int = 20, c_s: int = 4, mis: str = "greedy",
+                     record_states: bool = False) -> SpannerResult:
+    """Randomized build. variant "seq" scans each remaining edge in weight
+    order and takes the first disjoint sampled path of that neighbor;
+    variant "mod" scans all sampled paths in one fixed order (or under a
+    random permutation when mis="parallel")."""
+    n = g.n
+    sample_fn, centers_fn = random_steps(n, f, k, seed, c_s)
 
     pi_rng_fn = None
     if variant == "mod" and mis == "parallel":

@@ -4,7 +4,7 @@ import pytest
 
 from ftspanner.detkit import (HittingInstance, InadmissibleInstance,
                               beta_hitting_set, build_ft_spanner_det,
-                              det_cluster_threshold, hitting_set)
+                              det_cluster_threshold)
 from ftspanner.graphs import generate
 from ftspanner.meta import check_invariants
 from ftspanner.rng import substream
@@ -14,7 +14,7 @@ from ftspanner.verify import verify_spanner
 def test_identical_sets_need_one_element():
     inst = HittingInstance(ground=tuple(range(10)),
                            sets=(tuple(range(10)),) * 3, delta=5.0)
-    assert hitting_set(inst) == {0}  # max coverage, smallest id on ties
+    assert beta_hitting_set(inst) == {0}  # max coverage, smallest id on ties
 
 
 def test_disjoint_sets_counting():
@@ -22,7 +22,7 @@ def test_disjoint_sets_counting():
     size = math.ceil(delta * max(1, math.ceil(math.log(ell))))
     sets = tuple(tuple(range(i * size, (i + 1) * size)) for i in range(ell))
     inst = HittingInstance(ground=tuple(range(ell * size)), sets=sets, delta=delta)
-    got = hitting_set(inst)
+    got = beta_hitting_set(inst)
     assert len(got) == ell
     assert ell <= len(inst.ground) / delta
 
@@ -31,7 +31,7 @@ def test_inadmissible_names_the_set():
     inst = HittingInstance(ground=tuple(range(10)), sets=((0,), (0, 1, 2)),
                            delta=5.0)
     with pytest.raises(InadmissibleInstance, match="set 0"):
-        hitting_set(inst)
+        beta_hitting_set(inst)
 
 
 def _random_admissible(rng, beta):
@@ -55,13 +55,6 @@ def test_random_admissible_contracts(beta):
         assert len(got) <= len(inst.ground) / inst.delta
         for s in inst.sets:
             assert len(got & set(s)) >= beta
-
-
-def test_beta_one_matches_plain():
-    rng = substream(7, "hitting-eq")
-    for _ in range(20):
-        inst = _random_admissible(rng, 1)
-        assert beta_hitting_set(inst) == hitting_set(inst)
 
 
 def test_beta_on_identical_full_sets():
