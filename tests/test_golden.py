@@ -1,5 +1,6 @@
 """Golden outputs: every builder and the simulation on one clustering
-fixture, pinned by the sha256 of their canonical result JSON.
+fixture, pinned by the sha256 of their canonical result JSON, and the
+verifier's reports on builds that drop edges and on a failing star.
 
 A refactor that leaves these hashes alone left the output of every
 construction path byte-identical. The fixture clusters in phases 1 and 2
@@ -15,6 +16,7 @@ from ftspanner.congest import simulate_distributed_spanner
 from ftspanner.detkit import build_ft_spanner_det
 from ftspanner.graphs import generate
 from ftspanner.meta import build_ft_spanner
+from ftspanner.verify import verify_spanner
 
 SEED = 1
 
@@ -84,3 +86,46 @@ def test_golden_f2_k2(k120):
         "simulate": simulate_distributed_spanner(k120, 2, 2, seed=SEED, c_k=1)[0],
     }
     check_pins(results, PINS_F2_K2, k120.m)
+
+
+# Verifier reports, pinned by the sha256 of their canonical JSON.
+# label -> (sha256 of to_json(), passed, fault_sets, number of violations)
+VERIFY_PINS = {
+    "unit-k30-seq-f1-k2": ("ff986d5746d61747c810f2401d41e606db4331f53602d29c2fde811075169ae7",
+                           True, 1771, 0),
+    "w-k30-seq-f1-k3": ("c85aa007b62a49425737fcd8bcf1c1544d3056f747f243f76b64bfbc1d41ecfd",
+                        True, 2492, 0),
+    "w-k30-seq-f1-k3-sampled": ("dc354bc415473780004b6282fd2cd7391575d362c045fe508c846aece12a8919",
+                                True, 719, 0),
+    "w-k22-mod-f2-k2": ("7aca5ff87e104dc318368dd328181e93c556a6b2acdfcab0545166cdbdc93736",
+                        True, 1900, 0),
+    "unit-k30-star-f1-k2": ("47f96e12772620731afef63799a43f9371b99f74994ba6623df059f90095dfba",
+                            False, 406, 406),
+}
+
+
+def test_golden_verify_reports():
+    k30 = generate("complete", n=30, seed=3)
+    k30w = generate("complete", n=30, seed=3, weights=(1, 1000))
+    k22w = generate("complete", n=22, seed=3, weights=(1, 1000))
+    unit = build_ft_spanner(k30, 1, 2, seed=SEED, c_k=1)
+    weighted = build_ft_spanner(k30w, 1, 3, seed=SEED, c_k=1)
+    mod = build_ft_spanner(k22w, 2, 2, seed=SEED, c_k=1, variant="mod")
+    star = [eid for eid, (u, v, _) in enumerate(k30.edges) if 0 in (u, v)]
+    for g, res in ((k30, unit), (k30w, weighted), (k22w, mod)):
+        assert res.edge_count < g.m  # the verifier sees dropped edges
+    cases = {
+        "unit-k30-seq-f1-k2": (k30, unit.edges, 1, 2, "exhaustive"),
+        "w-k30-seq-f1-k3": (k30w, weighted.edges, 1, 3, "exhaustive"),
+        "w-k30-seq-f1-k3-sampled": (k30w, weighted.edges, 1, 3, "sampled:8"),
+        "w-k22-mod-f2-k2": (k22w, mod.edges, 2, 2, "exhaustive"),
+        "unit-k30-star-f1-k2": (k30, star, 1, 2, "exhaustive"),
+    }
+    reports = {label: verify_spanner(g, h, f, k, mode=mode, seed=SEED)
+               for label, (g, h, f, k, mode) in cases.items()}
+    for label, rep in reports.items():
+        digest, passed, fault_sets, n_viol = VERIFY_PINS[label]
+        assert (rep.passed, rep.fault_sets, len(rep.violations)) == \
+            (passed, fault_sets, n_viol), label
+        assert sha256(rep.to_json()) == digest, label
+    assert reports["unit-k30-seq-f1-k2"].worst_stretch == 2.0
