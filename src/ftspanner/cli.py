@@ -95,6 +95,11 @@ def cmd_verify(args) -> int:
         return 2
     f = args.f if args.f is not None else res.params.get("f")
     k = args.k if args.k is not None else res.params.get("k")
+    for name, value in (("f", f), ("k", k)):
+        if value is None:
+            print(f"error: the result file has no params.{name}; pass --{name}",
+                  file=sys.stderr)
+            return 2
     report = verify_spanner(g, res.edges, f, k, mode=args.mode, seed=args.seed)
     _write(report.to_json(), args.out)
     print(("PASS" if report.passed else "FAIL")

@@ -21,6 +21,10 @@ INF = math.inf
 # key of a single-vertex path.
 SENTINEL_KEY = (0, -1)
 
+# Largest vertex count load_graph accepts; Graph allocates one adjacency
+# list per vertex id, so one huge id would otherwise exhaust memory.
+MAX_VERTICES = 1_000_000
+
 
 class GraphError(ValueError):
     pass
@@ -166,7 +170,8 @@ def load_graph(text: str) -> Graph:
     """Parse an edge-list: one "u v w" per line, '#' comments allowed.
 
     A "# n N" comment pins the vertex count (needed when trailing
-    vertices are isolated); otherwise n is inferred as max id + 1.
+    vertices are isolated); otherwise n is inferred as max id + 1. Either
+    must not exceed MAX_VERTICES.
     """
     edges = []
     n_hint = None
@@ -196,6 +201,8 @@ def load_graph(text: str) -> Graph:
         edges.append((u, v, w))
         max_id = max(max_id, u, v)
     n = n_hint if n_hint is not None else max_id + 1
+    if n > MAX_VERTICES:
+        raise ParseError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
     try:
         return Graph(n, edges)
     except GraphError as exc:

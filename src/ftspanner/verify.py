@@ -6,11 +6,23 @@ of an edge (u,v) under fault budget f and stretch step i means: for every
 fault set F avoiding u,v with |F| <= f, the u-v distance in h minus F is
 at most (2i-1) * w(u,v).
 
-Enumeration shortcut: faulting a vertex never shortens distances, and a
-vertex on no u-v path of length <= bound can never matter, so it suffices
-to enumerate maximum-size fault sets inside the set of "relevant"
-vertices (those with d(u,x) + d(x,v) <= bound). Soundness of this
-shortcut is cross-checked in the tests against a literal re-implementation.
+Branching check: a vertex on no u-v path of length <= bound can never
+matter, so the fault sets in question are the maximum-size ones inside the
+"relevant" vertices (those with d(u,x) + d(x,v) <= bound); there are
+C(|relevant|, f) of them, and that count is what the report covers and the
+cap limits. Rather than search each one, the check branches on short
+paths: at a node F (starting from the empty set) it finds one shortest
+u-v path of length <= bound avoiding F. With none, the edge is violated;
+otherwise, if |F| < f, it branches on F plus each interior vertex of that
+path. The tree is exact. Every node F is a subset of some maximum-size
+fault set, and faulting never shortens a distance, so no node exceeds the
+enumeration's worst distance. Conversely, for any fault set F*, walk down
+from the root: a node whose path F* misses has d(F*) = d(node), since the
+path survives and F* contains the node; a node whose path F* hits has a
+child that is still a subset of F*. So the tree's worst distance is the
+enumeration's. An edge found violated is then enumerated literally, so the
+report lists every violating fault set. Both checks are cross-checked in
+the tests against a definition-unrolled scan.
 """
 
 from __future__ import annotations
@@ -61,9 +73,11 @@ def _normalize_subgraph(g: Graph, h) -> set[int]:
     return ids
 
 
-def _sssp_upto(adj, src: int, dead: frozenset, cutoff) -> dict[int, float]:
-    """Distances from src not exceeding cutoff, skipping dead vertices."""
+def _sssp_upto(adj, src: int, cutoff):
+    """Distances from src not exceeding cutoff, and the parent of each
+    reached vertex other than src."""
     best = {src: 0}
+    parent = {}
     heap = [(0, src)]
     out: dict[int, float] = {}
     while heap:
@@ -72,18 +86,31 @@ def _sssp_upto(adj, src: int, dead: frozenset, cutoff) -> dict[int, float]:
             continue
         out[x] = d
         for y, w in adj[x]:
-            if y in dead or y in out:
+            if y in out:
                 continue
             nd = d + w
             if nd <= cutoff and nd < best.get(y, INF):
                 best[y] = nd
+                parent[y] = x
                 heappush(heap, (nd, y))
-    return out
+    return out, parent
 
 
-def _dist_avoid(adj, u: int, v: int, dead: frozenset, cutoff=INF) -> float:
-    """u-v distance avoiding dead vertices; INF if above cutoff or disconnected."""
+def _interior(parent, u, v):
+    """Interior vertices of the u-v path that parent pointers trace back."""
+    interior = []
+    x = parent[v]
+    while x != u:
+        interior.append(x)
+        x = parent[x]
+    return tuple(interior)
+
+
+def _dist_avoid(adj, u: int, v: int, dead: frozenset, cutoff=INF):
+    """u-v distance avoiding dead vertices, with the interior vertices of one
+    shortest path; (INF, ()) if above cutoff or disconnected."""
     best = {u: 0}
+    parent = {}
     heap = [(0, u)]
     done = set()
     while heap:
@@ -91,7 +118,7 @@ def _dist_avoid(adj, u: int, v: int, dead: frozenset, cutoff=INF) -> float:
         if x in done:
             continue
         if x == v:
-            return d
+            return d, _interior(parent, u, v)
         done.add(x)
         for y, w in adj[x]:
             if y in dead or y in done:
@@ -99,44 +126,86 @@ def _dist_avoid(adj, u: int, v: int, dead: frozenset, cutoff=INF) -> float:
             nd = d + w
             if nd <= cutoff and nd < best.get(y, INF):
                 best[y] = nd
+                parent[y] = x
                 heappush(heap, (nd, y))
-    return INF
+    return INF, ()
+
+
+def _relevant(adj, u, v, bound):
+    """The u-v distance, the sorted vertices other than u, v that lie on some
+    u-v path of length <= bound, and the interior of one shortest u-v path
+    (INF and () if the distance exceeds bound)."""
+    du, parent = _sssp_upto(adj, u, bound)
+    dv, _ = _sssp_upto(adj, v, bound)
+    relevant = sorted(x for x, d in du.items()
+                      if x != u and x != v and x in dv and d + dv[x] <= bound)
+    if v not in du:
+        return INF, relevant, ()
+    return du[v], relevant, _interior(parent, u, v)
+
+
+def _branch(adj, u, v, w, bound, k_eff, base, interior):
+    """The branching check, from a shortest u-v path of length base <= bound
+    and the given interior: each fault set of up to k_eff vertices is
+    extended by each interior vertex of its own short path. Returns
+    (ok, worst_ratio); worst_ratio is INF if not ok."""
+    worst = base
+    seen = set()
+    stack = [(frozenset(), interior)] if k_eff else []
+    while stack:
+        dead, path = stack.pop()
+        for x in path:
+            child = dead | {x}
+            if child in seen:
+                continue
+            seen.add(child)
+            d, sub = _dist_avoid(adj, u, v, child, bound)
+            if d > bound:
+                return False, INF
+            worst = max(worst, d)
+            if len(child) < k_eff:
+                stack.append((child, sub))
+    return True, worst / w
+
+
+def _enumerate(adj, u, v, w, bound, base, relevant, k_eff):
+    """The literal scan: one search per k_eff-subset of relevant.
+    Returns (ok, worst_ratio, violations)."""
+    worst = base / w
+    ok = True
+    violations = []
+    for fault in combinations(relevant, k_eff):
+        dead = frozenset(fault)
+        d, _ = _dist_avoid(adj, u, v, dead, bound)
+        if d > bound:
+            actual, _ = _dist_avoid(adj, u, v, dead)
+            ok = False
+            violations.append((fault, actual, bound))
+            worst = max(worst, actual / w if actual < INF else INF)
+        else:
+            worst = max(worst, d / w)
+    return ok, worst, violations
 
 
 def _protection_scan(adj, u, v, w, f, i, cap, collect):
-    """Core enumeration. Returns (ok, worst_ratio, violations, enumerated)."""
+    """Decide protection of (u,v). Returns (ok, worst_ratio, violations,
+    fault_sets covered); violations are collected only if collect."""
     bound = (2 * i - 1) * w
-    du = _sssp_upto(adj, u, frozenset(), bound)
-    dv = _sssp_upto(adj, v, frozenset(), bound)
-    base = du.get(v, INF)
-    violations = []
+    base, relevant, interior = _relevant(adj, u, v, bound)
     if base > bound:
-        actual = _dist_avoid(adj, u, v, frozenset())
-        violations.append(((), actual, bound))
-        return False, (actual / w if actual < INF else INF), violations, 1
-    relevant = sorted(x for x, d in du.items()
-                      if x != u and x != v and x in dv and d + dv[x] <= bound)
+        actual, _ = _dist_avoid(adj, u, v, frozenset())
+        return False, (actual / w if actual < INF else INF), [((), actual, bound)], 1
     k_eff = min(f, len(relevant))
     if k_eff == 0:
-        return True, base / w, violations, 1
+        return True, base / w, [], 1
     todo = comb(len(relevant), k_eff)
     if todo > cap:
         raise BudgetExceeded(
             f"{todo} fault sets exceed the cap of {cap}; use sampled mode")
-    worst = base / w
-    ok = True
-    for fault in combinations(relevant, k_eff):
-        dead = frozenset(fault)
-        d = _dist_avoid(adj, u, v, dead, bound)
-        if d > bound:
-            actual = _dist_avoid(adj, u, v, dead)
-            ok = False
-            violations.append((fault, actual, bound))
-            worst = max(worst, actual / w if actual < INF else INF)
-            if not collect:
-                break
-        else:
-            worst = max(worst, d / w)
+    ok, worst = _branch(adj, u, v, w, bound, k_eff, base, interior)
+    if ok or not collect:
+        return ok, worst, [], todo
+    ok, worst, violations = _enumerate(adj, u, v, w, bound, base, relevant, k_eff)
     return ok, worst, violations, todo
 
 
@@ -234,11 +303,11 @@ def verify_spanner(g: Graph, h, f: int, k: int, mode: str = "exhaustive",
             continue
         bound = (2 * k - 1) * w
         worst = 0.0
+        pool = [x for x in others if x != u and x != v]
+        size = min(f, len(pool))
         for _ in range(n_samples):
-            pool = [x for x in others if x != u and x != v]
-            size = min(f, len(pool))
             fault = frozenset(rng.sample(pool, size)) if size else frozenset()
-            d = _dist_avoid(h_adj, u, v, fault)
+            d, _ = _dist_avoid(h_adj, u, v, fault)
             report.fault_sets += 1
             worst = max(worst, d / w if d < INF else INF)
             if d > bound:
@@ -255,10 +324,10 @@ def verify_spanner(g: Graph, h, f: int, k: int, mode: str = "exhaustive",
         pool = [x for x in others if x != u and x != v]
         size = min(f, len(pool))
         fault = frozenset(rng.sample(pool, size)) if size else frozenset()
-        dg = _dist_avoid(g_adj, u, v, fault)
+        dg, _ = _dist_avoid(g_adj, u, v, fault)
         if dg == INF:
             continue
-        dh = _dist_avoid(h_adj, u, v, fault)
+        dh, _ = _dist_avoid(h_adj, u, v, fault)
         report.fault_sets += 1
         if dh > (2 * k - 1) * dg:
             report.passed = False

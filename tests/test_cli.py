@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ftspanner import graphs
 from ftspanner.cli import main
 from ftspanner.graphs import load_graph
 from ftspanner.result import SpannerResult
@@ -44,6 +45,38 @@ def test_verify_failure_exit_code(tmp_path):
                         edges=tuple(e for e in range(graph.m) if e != heaviest))
     r.write_text(res.to_json())
     assert run("verify", "--graph", g, "--result", r, "--f", 0, "--k", 2) == 1
+
+
+def _manual_result(graph, edges):
+    return SpannerResult(algo="manual", n=graph.n, m=graph.m,
+                         graph_sha=graph.sha(), params={}, edges=tuple(edges))
+
+
+def test_verify_without_f_k_exits_2(tmp_path, capsys):
+    g = tmp_path / "g.txt"
+    dropped, full = tmp_path / "dropped.json", tmp_path / "full.json"
+    run("gen", "--kind", "cycle", "--n", 6, "-o", g)
+    graph = load_graph(g.read_text())
+    heaviest = max(range(graph.m), key=graph.key)
+    dropped.write_text(_manual_result(
+        graph, (e for e in range(graph.m) if e != heaviest)).to_json())
+    full.write_text(_manual_result(graph, range(graph.m)).to_json())
+    for r in (dropped, full):
+        capsys.readouterr()
+        assert run("verify", "--graph", g, "--result", r) == 2
+        assert "no params.f; pass --f" in capsys.readouterr().err
+        assert run("verify", "--graph", g, "--result", r, "--f", 1) == 2
+        assert "no params.k; pass --k" in capsys.readouterr().err
+    # A PASS on H = G must come from given parameters, never from null ones.
+    assert run("verify", "--graph", g, "--result", full, "--f", 1, "--k", 2) == 0
+
+
+def test_graph_above_vertex_limit_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(graphs, "MAX_VERTICES", 100)
+    g = tmp_path / "g.txt"
+    g.write_text("0 100 1\n")
+    assert run("build", "--graph", g, "--f", 1, "--k", 2) == 2
+    assert "exceed the limit of 100" in capsys.readouterr().err
 
 
 def test_build_deterministic_files(tmp_path):

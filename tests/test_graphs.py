@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ftspanner import graphs
 from ftspanner.graphs import (Graph, GraphError, ParseError, Path, dist,
                               generate, load_graph)
 
@@ -35,6 +36,16 @@ def test_load_errors_name_the_line():
         load_graph("0 1 1\n1 0 2")
     with pytest.raises(ParseError, match="weight"):
         load_graph("0 1 0")
+
+
+def test_load_rejects_vertex_count_above_limit(monkeypatch):
+    # The guard is exercised at a lowered limit; the real limit stays untouched.
+    monkeypatch.setattr(graphs, "MAX_VERTICES", 100)
+    assert load_graph("0 99 1").n == 100
+    with pytest.raises(ParseError, match="101 vertices exceed the limit of 100"):
+        load_graph("0 100 1")
+    with pytest.raises(ParseError, match="limit of 100"):
+        load_graph("# n 101\n0 1 1\n")
 
 
 def test_edge_list_roundtrip():

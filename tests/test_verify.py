@@ -1,11 +1,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import protected_direct, small_random_graph
 from ftspanner.graphs import Graph, generate
+from ftspanner.meta import build_ft_spanner
 from ftspanner.rng import substream
-from ftspanner.verify import (BudgetExceeded, is_protected, verify_certificate,
+from ftspanner.verify import (BudgetExceeded, _branch, _enumerate, _relevant,
+                              _subgraph_adj, is_protected, verify_certificate,
                               verify_spanner)
 
 INF = math.inf
@@ -59,6 +63,71 @@ def test_oracle_soundness_dual_coding():
         assert is_protected(h, u, v, w, f, i) == protected_direct(h, u, v, w, f, i)
         checked += 1
     assert checked >= 900
+
+
+@st.composite
+def host_cases(draw):
+    """(g, kept edge ids, f, i): small weighted or unit graphs with random
+    subsets, planted violations and real builds with kept edges removed."""
+    kind = draw(st.sampled_from(["subset", "cycle", "star", "build"]))
+    weights = draw(st.sampled_from([None, (1, 8)]))
+    seed = draw(st.integers(0, 10**6))
+    f = draw(st.integers(0, 2))
+    i = draw(st.integers(1, 3))
+    if kind == "subset":
+        n = draw(st.integers(2, 8))
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+        g = Graph(n, [(a, b, draw(st.integers(1, 8)) if weights else 1)
+                      for a, b in sorted(chosen)])
+        kept = [e for e in range(g.m) if draw(st.booleans())]
+    elif kind == "cycle":
+        g = generate("cycle", n=draw(st.integers(3, 8)), seed=seed, weights=weights)
+        heaviest = max(range(g.m), key=g.key)
+        kept = [e for e in range(g.m) if e != heaviest]
+    elif kind == "star":
+        g = generate("complete", n=draw(st.integers(4, 6)), seed=seed, weights=weights)
+        centre = draw(st.integers(0, g.n - 1))
+        kept = [e for e, (a, b, _) in enumerate(g.edges) if centre in (a, b)]
+    else:
+        g = generate("complete", n=draw(st.integers(6, 9)), seed=seed, weights=weights)
+        res = build_ft_spanner(g, max(f, 1), max(i, 2), seed=seed, c_k=1)
+        kept = list(res.edges)
+        for _ in range(draw(st.integers(1, 3))):
+            kept.remove(draw(st.sampled_from(kept)))
+    return g, kept, f, i
+
+
+def test_branching_matches_enumeration():
+    # The branching check and the literal enumeration must give the same
+    # verdict and worst ratio on every edge, and is_protected must agree
+    # with the definition-unrolled scan.
+    verdicts = []
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(host_cases())
+    def check(case):
+        g, kept, f, i = case
+        h = Graph(g.n, [g.edges[e] for e in kept])
+        adj = _subgraph_adj(h, range(h.m))
+        for u, v, w in g.edges:
+            bound = (2 * i - 1) * w
+            base, relevant, interior = _relevant(adj, u, v, bound)
+            k_eff = min(f, len(relevant))
+            ok, worst = (_branch(adj, u, v, w, bound, k_eff, base, interior)
+                         if base <= bound else (False, INF))
+            ok_enum, worst_enum, violations = _enumerate(
+                adj, u, v, w, bound, base, relevant, k_eff)
+            assert ok == ok_enum and ok == (not violations)
+            if ok:
+                assert worst == worst_enum
+            assert is_protected(h, u, v, w, f, i) == ok == protected_direct(h, u, v, w, f, i)
+            verdicts.append((ok, base <= bound))
+
+    check()
+    # Non-vacuous: many edges pass, and some survive F = {} but not all F.
+    assert verdicts.count((True, True)) >= 100
+    assert verdicts.count((False, True)) >= 20
 
 
 def test_verify_identity_subgraph_passes(gnp30):
