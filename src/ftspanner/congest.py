@@ -158,7 +158,7 @@ class Network:
 
             def is_head(entry):
                 if entry.src is None:
-                    return entry.path.head in got
+                    return entry.head in got
                 return inbox[(entry.src, v)][0][entry.sample_idx]
             return is_head
         return head_test

@@ -135,7 +135,7 @@ def build_ft_spanner_det(g: Graph, f: int, k: int, c_k: int = 20,
         if not qualifying:
             return frozenset()
         head_sets = tuple(
-            tuple(e.path.head for e in fans[v][:threshold]) for v in qualifying)
+            tuple(e.head for e in fans[v][:threshold]) for v in qualifying)
         inst = HittingInstance(ground=tuple(sorted(centers)), sets=head_sets,
                                delta=delta, beta=k_f)
         chosen = frozenset(beta_hitting_set(inst))

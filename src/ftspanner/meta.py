@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from ftspanner.graphs import Graph, Path
 from ftspanner.parmis import PathConflictInstance, parallel_greedy_mis
@@ -32,12 +33,62 @@ from ftspanner.result import PhaseTrace, SpannerResult, meta_size_bound
 from ftspanner.rng import vertex_stream
 
 
-@dataclass
 class FanEntry:
-    path: Path            # final (possibly shortcut) path, ends at the owner
-    orig: Path            # pre-shortcut path; == path for inherited cluster paths
-    src: int | None       # neighbor whose sample supplied it; None if inherited
-    sample_idx: int = -1  # position in the neighbor's stored sample list
+    """One path of an owner's fan.
+
+    The fan step accepts far more candidates than the owner keeps (at most
+    K_f), and everything after it reads only head and last_key (the entry
+    sort, the head tests, the deterministic center choice) or base.vset
+    (the edge purchases). So an entry stores those, plus what rebuilds the
+    paths, and builds path and orig on first access: in practice only for
+    the entries choose_cluster keeps.
+
+    base: the neighbor's sampled path, or the inherited cluster path.
+    src: neighbor whose sample supplied it; None if inherited, and then
+      base is both path and orig.
+    sample_idx: position in the neighbor's stored sample list.
+    owner, key: the fan's vertex and the key (w, eid) of the edge from
+      base's tail to it; orig is base extended by that edge (lazy).
+    cut, last_key: index into base.vertices of the vertex whose edge into
+      the owner is lightest, and that edge's key; path is orig cut there
+      by shortcut (lazy; orig itself when cut is base's tail).
+    """
+
+    __slots__ = ("base", "src", "sample_idx", "head", "last_key",
+                 "owner", "key", "cut", "_path", "_orig")
+
+    def __init__(self, base: Path, src: int | None = None, sample_idx: int = -1,
+                 owner: int = -1, key: tuple[int, int] | None = None,
+                 cut: int = -1, last_key: tuple[int, int] | None = None):
+        self.base = base
+        self.src = src
+        self.sample_idx = sample_idx
+        self.head = base.vertices[0]
+        self.owner = owner
+        self.key = key
+        self.cut = cut
+        if src is None:
+            self.last_key = base.last_key
+            self._path = self._orig = base
+        else:
+            self.last_key = last_key
+            self._path = self._orig = None
+
+    @property
+    def orig(self) -> Path:
+        """Pre-shortcut path; == path for inherited cluster paths."""
+        if self._orig is None:
+            self._orig = self.base.extend(self.owner, self.key[1], self.key)
+        return self._orig
+
+    @property
+    def path(self) -> Path:
+        """Final (possibly shortcut) path; ends at the owner."""
+        if self._path is None:
+            # the cut vertex's edge is the lightest hit on orig, so a map
+            # holding only that edge cuts orig where the owner's full map does
+            self._path = shortcut(self.orig, {self.base.vertices[self.cut]: self.last_key})
+        return self._path
 
 
 @dataclass
@@ -71,18 +122,25 @@ def sample_fan_paths(qpaths, rng, count: int) -> list[Path]:
     return out
 
 
+def _lightest(verts, edge_of) -> tuple[int, tuple[int, int] | None]:
+    """(index, key) of the vertex of verts whose edge_of entry is lightest;
+    (-1, None) when none has one."""
+    best = None
+    best_idx = -1
+    for idx, x in enumerate(verts):
+        hit = edge_of.get(x)
+        if hit is not None and (best is None or hit < best):
+            best = hit
+            best_idx = idx
+    return best_idx, best
+
+
 def shortcut(path: Path, edge_of: dict[int, tuple[int, int]]) -> Path:
     """Replace the suffix by the lightest remaining edge from the path into
     its tail. edge_of maps neighbor -> (w, eid) over the tail's remaining
     incident edges; the path's own last edge is always a candidate."""
     verts = path.vertices
-    best = None
-    best_idx = -1
-    for idx in range(len(verts) - 1):
-        hit = edge_of.get(verts[idx])
-        if hit is not None and (best is None or hit < best):
-            best = hit
-            best_idx = idx
+    best_idx, best = _lightest(verts[:-1], edge_of)
     if best_idx == len(verts) - 2:
         return path
     return path.prefix_to(best_idx).extend(verts[-1], best[1], best)
@@ -96,48 +154,50 @@ def build_fan(v: int, q_v, inc_v, samples, variant: str = "seq",
     inc_v: remaining incident edges as (w, eid, u), ascending by (w, eid).
     samples: neighbor -> stored sample list (only entries for inc_v
     neighbors are read).
+
+    The shortcut of an accepted path is read off its vertex tuple: base's
+    vertices are the grown path's vertices but the owner, and base's tail
+    is an inc_v neighbor, so the scan always hits.
     """
     used = set()
     for p in q_v:
         used |= p.vset
-    entries = [FanEntry(p, p, None) for p in q_v]
+    entries = [FanEntry(p) for p in q_v]
+    # ordered as inc_v, so iterating it scans the edges in weight order
     edge_of = {u: (w, eid) for (w, eid, u) in inc_v}
 
-    accepted: list[tuple[Path, int, tuple[int, int], int, int]] = []
-    if variant == "seq":
-        for w, eid, u in inc_v:
+    if variant not in ("seq", "mod"):
+        raise ValueError(f"unknown variant {variant!r}")
+    accepted: list[tuple[Path, tuple[int, int], int, int]] = []
+    if variant == "mod" and mis_mode == "parallel":
+        alive = [(p, key, u, si)
+                 for u, key in edge_of.items()
+                 for si, p in enumerate(samples[u])
+                 if p.vset.isdisjoint(used)]
+        order = list(range(len(alive)))
+        if pi_rng is not None:
+            pi_rng.shuffle(order)
+        inst = PathConflictInstance(tuple(c[0].vset for c in alive), tuple(order))
+        taken, _ = parallel_greedy_mis(inst)
+        accepted = [alive[t] for t in sorted(taken, key=order.__getitem__)]
+    else:
+        # seq takes at most one path per neighbor, mod every disjoint one
+        first_only = variant == "seq"
+        for u, key in edge_of.items():
             for si, p in enumerate(samples[u]):
                 if p.vset.isdisjoint(used):
                     used |= p.vset
-                    accepted.append((p, eid, (w, eid), u, si))
-                    break
-    elif variant == "mod":
-        cands = [(p, eid, (w, eid), u, si)
-                 for (w, eid, u) in inc_v
-                 for si, p in enumerate(samples[u])]
-        if mis_mode == "parallel":
-            alive = [j for j, c in enumerate(cands) if c[0].vset.isdisjoint(used)]
-            order = list(range(len(alive)))
-            if pi_rng is not None:
-                pi_rng.shuffle(order)
-            inst = PathConflictInstance(
-                tuple(cands[j][0].vset for j in alive), tuple(order))
-            taken, _ = parallel_greedy_mis(inst)
-            for t in sorted(taken, key=lambda j: order[j]):
-                accepted.append(cands[alive[t]])
-                used |= cands[alive[t]][0].vset
-        else:
-            for c in cands:
-                if c[0].vset.isdisjoint(used):
-                    used |= c[0].vset
-                    accepted.append(c)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+                    accepted.append((p, key, u, si))
+                    if first_only:
+                        break
 
-    for p, eid, key, u, si in accepted:
-        grown = p.extend(v, eid, key)
-        entries.append(FanEntry(shortcut(grown, edge_of), grown, u, si))
-    entries.sort(key=lambda e: e.path.last_key)
+    for p, key, u, si in accepted:
+        if len(p.vertices) == 1:  # base is u alone; its edge is the only hit
+            entries.append(FanEntry(p, u, si, v, key, 0, key))
+        else:
+            cut, best = _lightest(p.vertices, edge_of)
+            entries.append(FanEntry(p, u, si, v, key, cut, best))
+    entries.sort(key=attrgetter("last_key"))
     return entries
 
 
@@ -145,10 +205,12 @@ def choose_cluster(entries, is_sampled_head, k_f: int):
     """Step 2 for a single vertex. Returns (clustered, q_paths, i_v) with
     i_v the 1-based index of the last fan entry taken (|fan|+1 when the
     vertex drops out)."""
-    hits = [j for j, e in enumerate(entries) if is_sampled_head(e)]
-    if len(hits) >= k_f:
-        chosen = hits[:k_f]
-        return True, tuple(entries[j].path for j in chosen), chosen[-1] + 1
+    hits = []
+    for j, e in enumerate(entries):
+        if is_sampled_head(e):
+            hits.append(j)
+            if len(hits) == k_f:
+                return True, tuple(entries[h].path for h in hits), j + 1
     return False, (), len(entries) + 1
 
 
@@ -156,13 +218,10 @@ def le_edge_ids(entries, i_v: int, inc_v) -> list[int]:
     """Step 3 edge purchases: remaining edges from the owner into the
     pre-shortcut vertices of every fan entry before position i_v."""
     pre: set[int] = set()
+    # base.vset is orig.vset without the owner, who is not its own neighbor
     for e in entries[: i_v - 1]:
-        pre |= e.orig.vset
+        pre |= e.base.vset
     return [eid for (w, eid, u) in inc_v if u in pre]
-
-
-def _incident_lists(g: Graph):
-    return {v: [(w, eid, u) for (w, eid, u) in g.adj[v]] for v in range(g.n)}
 
 
 class LocalExchange:
@@ -173,7 +232,7 @@ class LocalExchange:
         return lambda v: samples
 
     def heads(self, centers, samples, inc):
-        is_head = lambda e: e.path.head in centers
+        is_head = lambda e: e.head in centers
         return lambda v: is_head
 
     def edge_state(self, inc, thr, le, bought):
@@ -202,6 +261,8 @@ def run_phases(g: Graph, f: int, k: int, *, sample_fn, centers_fn,
         raise ValueError(f"need 1 <= f < n, got f={f}, n={n}")
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
+    if c_k < 1:
+        raise ValueError(f"need c_k >= 1, got c_k={c_k}")
     if transport is None:
         transport = LocalExchange()
     k_f = c_k * k * f
@@ -209,7 +270,7 @@ def run_phases(g: Graph, f: int, k: int, *, sample_fn, centers_fn,
     centers = frozenset(range(n))
     clustered = frozenset(range(n))
     q = {v: (Path.trivial(v),) for v in range(n)}
-    inc = _incident_lists(g)
+    inc = dict(enumerate(g.adj))
     spanner: set[int] = set()
     trace: list[PhaseTrace] = []
     states: list[PhaseRecord] = []

@@ -11,7 +11,9 @@ paths' total length.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 from ftspanner.rng import substream
 
@@ -67,35 +69,31 @@ def parallel_greedy_mis(inst: PathConflictInstance) -> tuple[set[int], MisRoundT
     Round body: for every vertex touched by a surviving path, find the
     minimum rank among the paths containing it; accept the paths that
     are the minimum everywhere; remove them and their neighbors.
+
+    The survivors are kept in descending rank order, so when the
+    vertex -> path map is built by writing every path's vertices in that
+    order, the last write on a vertex is its earliest path. A path holds
+    the minimum everywhere when it owns all of its vertices in that map.
+    work counts each surviving path's length once per round for the map
+    and once more for every path left after the round's acceptances.
     """
     paths = inst.paths
-    pi = inst.pi
-    alive = list(range(len(paths)))
+    alive = sorted(range(len(paths)), key=inst.pi.__getitem__, reverse=True)
     accepted: set[int] = set()
     trace = MisRoundTrace()
     while alive:
         trace.rounds += 1
-        earliest: dict[int, int] = {}
-        for j in alive:
-            r = pi[j]
-            for w in paths[j]:
-                prev = earliest.get(w)
-                if prev is None or r < prev:
-                    earliest[w] = r
-            trace.work += len(paths[j])
-        batch = [j for j in alive if all(earliest[w] == pi[j] for w in paths[j])]
+        alive_paths = [paths[j] for j in alive]
+        lens = list(map(len, alive_paths))
+        owner = dict(zip(chain.from_iterable(alive_paths),
+                         chain.from_iterable(map(repeat, alive, lens))))
+        owned = Counter(owner.values())
+        batch = [j for j, n in zip(alive, lens) if owned.get(j, 0) == n]
         accepted.update(batch)
         trace.accepted_per_round.append(sorted(batch))
-        blocked: set[int] = set()
-        for j in batch:
-            blocked |= paths[j]
         batch_set = set(batch)
-        nxt = []
-        for j in alive:
-            if j in batch_set:
-                continue
-            trace.work += len(paths[j])
-            if paths[j].isdisjoint(blocked):
-                nxt.append(j)
-        alive = nxt
+        blocked = set(chain.from_iterable(paths[j] for j in batch))
+        trace.work += 2 * sum(lens) - sum(len(paths[j]) for j in batch)
+        alive = [j for j in alive
+                 if j not in batch_set and paths[j].isdisjoint(blocked)]
     return accepted, trace

@@ -1,11 +1,14 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftspanner.graphs import Graph, Path, generate
 from ftspanner.meta import (FanEntry, PhaseRecord, build_fan, build_ft_spanner,
                             center_ratio, check_invariants, choose_cluster,
                             le_edge_ids, sample_fan_paths, shortcut)
+from ftspanner.parmis import PathConflictInstance, lex_first_mis
 from ftspanner.rng import substream
 from ftspanner.verify import verify_spanner
 
@@ -64,6 +67,161 @@ def test_fan_variants_differ_only_in_order():
     assert {e.path.vertices for e in f_seq} == {e.path.vertices for e in f_mod}
 
 
+# --- lazy fan entries against the eager fan step ----------------------------
+
+def _eager_shortcut(path, edge_of):
+    verts = path.vertices
+    best = None
+    best_idx = -1
+    for idx in range(len(verts) - 1):
+        hit = edge_of.get(verts[idx])
+        if hit is not None and (best is None or hit < best):
+            best = hit
+            best_idx = idx
+    if best_idx == len(verts) - 2:
+        return path
+    return path.prefix_to(best_idx).extend(verts[-1], best[1], best)
+
+
+def _eager_build_fan(v, q_v, inc_v, samples, variant="seq", mis_mode="greedy",
+                     pi_rng=None):
+    """The fan step that builds both paths of every accepted candidate up
+    front, as (path, orig, src, sample_idx) in build_fan's order."""
+    used = set()
+    for p in q_v:
+        used |= p.vset
+    entries = [(p, p, None, -1) for p in q_v]
+    edge_of = {u: (w, eid) for (w, eid, u) in inc_v}
+
+    accepted = []
+    if variant == "seq":
+        for w, eid, u in inc_v:
+            for si, p in enumerate(samples[u]):
+                if p.vset.isdisjoint(used):
+                    used |= p.vset
+                    accepted.append((p, eid, (w, eid), u, si))
+                    break
+    else:
+        cands = [(p, eid, (w, eid), u, si)
+                 for (w, eid, u) in inc_v
+                 for si, p in enumerate(samples[u])]
+        if mis_mode == "parallel":
+            alive = [j for j, c in enumerate(cands) if c[0].vset.isdisjoint(used)]
+            order = list(range(len(alive)))
+            if pi_rng is not None:
+                pi_rng.shuffle(order)
+            inst = PathConflictInstance(
+                tuple(cands[j][0].vset for j in alive), tuple(order))
+            # the scan the round algorithm reproduces
+            taken = lex_first_mis(inst)
+            for t in sorted(taken, key=lambda j: order[j]):
+                accepted.append(cands[alive[t]])
+        else:
+            for c in cands:
+                if c[0].vset.isdisjoint(used):
+                    used |= c[0].vset
+                    accepted.append(c)
+
+    for p, eid, key, u, si in accepted:
+        grown = p.extend(v, eid, key)
+        entries.append((_eager_shortcut(grown, edge_of), grown, u, si))
+    entries.sort(key=lambda e: e[0].last_key)
+    return entries
+
+
+def _random_path(g, rng, tail, hops):
+    """A simple path of the given hop count ending at tail, keys from g."""
+    verts = rng.sample([x for x in range(g.n) if x != tail], hops) + [tail]
+    p = Path.trivial(verts[0])
+    for a, b in zip(verts, verts[1:]):
+        eid = g.edge_id(a, b)
+        p = p.extend(b, eid, g.key(eid))
+    return p
+
+
+@st.composite
+def fan_cases(draw):
+    """One owner of a complete weighted graph, a subset of its edges as the
+    remaining ones, inherited paths ending at it, and per neighbor a sample
+    list of distinct paths of up to three hops, whose interior vertices are
+    often lighter neighbors of the owner, so shortcuts cut."""
+    n = draw(st.integers(5, 14))
+    seed = draw(st.integers(0, 10**6))
+    g = generate("complete", n=n, seed=seed, weights=(1, 30))
+    rng = substream(seed, "fan-case")
+    v = draw(st.integers(0, n - 1))
+    inc_v = [t for t in g.adj[v] if rng.random() < 0.7] or list(g.adj[v][:1])
+    if draw(st.booleans()):
+        q_v = (Path.trivial(v),)
+    else:
+        q_v = tuple({p.vertices: p for p in (
+            _random_path(g, rng, v, rng.randint(1, 2))
+            for _ in range(rng.randint(1, 2)))}.values())
+    samples = {}
+    for _, _, u in inc_v:
+        paths = [_random_path(g, rng, u, rng.randint(0, min(3, n - 2)))
+                 for _ in range(rng.randint(0, 4))]
+        samples[u] = list({p.vertices: p for p in paths}.values())
+    variant, mis_mode = draw(st.sampled_from(
+        [("seq", "greedy"), ("mod", "greedy"), ("mod", "parallel")]))
+    heads = frozenset(x for x in range(n) if rng.random() < 0.5)
+    return v, q_v, inc_v, samples, variant, mis_mode, seed, heads
+
+
+def _full(p):
+    return p.vertices, p.edges, p.keys
+
+
+def test_lazy_fan_matches_eager_oracle():
+    cut_entries = []
+    multi_hop = []
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(fan_cases())
+    def check(case):
+        v, q_v, inc_v, samples, variant, mis_mode, seed, heads = case
+        pi = (lambda: substream(seed, "pi")) if mis_mode == "parallel" else (lambda: None)
+        got = build_fan(v, q_v, inc_v, samples, variant, mis_mode, pi())
+        want = _eager_build_fan(v, q_v, inc_v, samples, variant, mis_mode, pi())
+        assert len(got) == len(want)
+        for e, (path, orig, src, si) in zip(got, want):
+            assert (e.src, e.sample_idx) == (src, si)
+            assert (e.head, e.last_key) == (path.head, path.last_key)
+            assert _full(e.path) == _full(path) and _full(e.orig) == _full(orig)
+            cut_entries.append(path.vertices != orig.vertices)
+            multi_hop.append(src is not None and orig.hops >= 2)
+
+        for i_v in range(1, len(want) + 2):
+            pre = set().union(*(orig.vset for _, orig, _, _ in want[: i_v - 1]))
+            assert le_edge_ids(got, i_v, inc_v) == [eid for (_, eid, u) in inc_v if u in pre]
+        for k_f in (1, 2, 3):
+            ok, q, i_v = choose_cluster(got, lambda e: e.head in heads, k_f)
+            hits = [j for j, (path, *_) in enumerate(want) if path.head in heads]
+            if len(hits) >= k_f:
+                assert ok and i_v == hits[k_f - 1] + 1
+                assert [_full(p) for p in q] == [_full(want[j][0]) for j in hits[:k_f]]
+            else:
+                assert (ok, q, i_v) == (False, (), len(want) + 1)
+
+    check()
+    assert sum(multi_hop) >= 100, "fixture must accept multi-hop sample paths"
+    assert sum(cut_entries) >= 25, "fixture must exercise shortcuts that cut"
+
+
+def test_fan_entry_builds_paths_on_first_access():
+    s, a, b, v = 0, 1, 2, 3
+    base = Path.trivial(s).extend(a, 10, (1, 10)).extend(b, 11, (2, 11))
+    e = FanEntry(base, b, 0, v, (7, 12), 1, (5, 13))
+    assert (e.head, e.last_key) == (s, (5, 13))
+    assert e._path is None and e._orig is None
+    assert e.path.vertices == (s, a, v) and e.path.last_key == (5, 13)
+    assert e.orig.vertices == (s, a, b, v) and e.orig.last_key == (7, 12)
+    assert e.path is e.path and e.orig is e.orig
+    inherited = FanEntry(base)
+    assert inherited.path is base and inherited.orig is base
+    assert (inherited.src, inherited.sample_idx, inherited.last_key) == (None, -1, (2, 11))
+
+
 # --- shortcut ---------------------------------------------------------------
 
 def test_shortcut_picks_lightest_backward_edge():
@@ -106,7 +264,7 @@ def _entries_with_heads(heads):
     out = []
     for j, h in enumerate(heads):
         p = Path.trivial(h).extend(99, 50 + j, (10 + j, 50 + j))
-        out.append(FanEntry(p, p, None))
+        out.append(FanEntry(p))
     return out
 
 
@@ -265,6 +423,12 @@ def test_precondition_errors():
         build_ft_spanner(g, 10, 2)
     with pytest.raises(ValueError):
         build_ft_spanner(g, 1, 1)
+
+
+def test_cluster_size_factor_must_be_positive():
+    g = generate("gnp", n=10, p=0.5, seed=0)
+    with pytest.raises(ValueError, match="c_k"):
+        build_ft_spanner(g, 1, 2, c_k=0)
 
 
 def test_zero_edge_graph():

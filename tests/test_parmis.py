@@ -158,3 +158,70 @@ def test_round_bound_statistical():
         denom = max(1.0, math.log2(n_paths) ** 2)
         ratios.append(trace.rounds / denom)
     assert statistics.median(ratios) <= 4
+
+
+def _reference_rounds(inst):
+    """The round loop that scans every surviving path vertex by vertex."""
+    paths = inst.paths
+    pi = inst.pi
+    alive = list(range(len(paths)))
+    accepted = set()
+    trace = MisRoundTrace()
+    while alive:
+        trace.rounds += 1
+        earliest = {}
+        for j in alive:
+            r = pi[j]
+            for w in paths[j]:
+                prev = earliest.get(w)
+                if prev is None or r < prev:
+                    earliest[w] = r
+            trace.work += len(paths[j])
+        batch = [j for j in alive if all(earliest[w] == pi[j] for w in paths[j])]
+        accepted.update(batch)
+        trace.accepted_per_round.append(sorted(batch))
+        blocked = set()
+        for j in batch:
+            blocked |= paths[j]
+        batch_set = set(batch)
+        nxt = []
+        for j in alive:
+            if j in batch_set:
+                continue
+            trace.work += len(paths[j])
+            if paths[j].isdisjoint(blocked):
+                nxt.append(j)
+        alive = nxt
+    return accepted, trace
+
+
+@st.composite
+def mis_instances(draw):
+    paths = draw(st.lists(st.frozensets(st.integers(0, 15), max_size=5), max_size=40))
+    pi = draw(st.permutations(range(len(paths))))
+    return PathConflictInstance(tuple(paths), tuple(pi))
+
+
+def test_round_trace_matches_reference_loop():
+    # rounds and work are reported metrics of the benchmark, so the whole
+    # trace must match, not just the accepted set
+    sizes = []
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(mis_instances())
+    def check(inst):
+        taken, trace = parallel_greedy_mis(inst)
+        want_taken, want = _reference_rounds(inst)
+        assert taken == want_taken
+        assert (trace.rounds, trace.work, trace.accepted_per_round) == \
+            (want.rounds, want.work, want.accepted_per_round)
+        sizes.extend(len(p) for p in inst.paths)
+
+    check()
+    for inst in (inst_of([]), inst_of([set()]), inst_of([set(), set(), {1}]),
+                 inst_of([{1}, {1}, {2}], pi=[2, 0, 1])):
+        taken, trace = parallel_greedy_mis(inst)
+        want_taken, want = _reference_rounds(inst)
+        assert (taken, trace) == (want_taken, want)
+    assert sizes.count(0) >= 20 and sizes.count(1) >= 50
+    assert sum(1 for s in sizes if s >= 3) >= 500
