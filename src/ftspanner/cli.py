@@ -153,6 +153,7 @@ def cmd_simulate(args) -> int:
     if args.dump_log:
         _dump_message_log(rounds.log, args.dump_log)
     print(json.dumps(rounds.to_dict(), sort_keys=True), file=sys.stderr)
+    print(json.dumps({"tags": rounds.tags}, sort_keys=True), file=sys.stderr)
     return 0
 
 

@@ -18,12 +18,23 @@ deferred-edge set; (f) `register` lets owners register the new cluster
 trees edge by edge so the next phase can broadcast on them. Every random
 draw comes from the per-(vertex, phase) streams the sequential build
 uses, so the simulated output matches it edge for edge.
+
+Each message wave is one Network.transmit over one send per sender: the
+sender, its receivers, the chunk list it sends every one of them, and a
+payload per receiver. The same chunks go down each of the sender's
+edges, so messages, bits and rounds (the longest chunk list) are counted
+by multiplying by the receiver count, also per message tag, instead of
+walking every directed edge every round. The per-message log is built
+only when record_messages is set, in round order and then send order.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 
 from ftspanner.graphs import Graph
 from ftspanner.meta import random_steps, run_phases
@@ -50,6 +61,9 @@ class RoundReport:
     weight_bits: int = 0
     edge_id_bits: int = 0
     log: list | None = None  # (round, (src, dst), bits, tag) when recorded
+    # tag -> {"rounds", "messages", "bits"}; kept out of to_dict(), which
+    # the result JSON embeds
+    tags: dict = field(default_factory=dict)
 
     def to_dict(self):
         return {
@@ -66,13 +80,15 @@ class RoundReport:
 
 
 class Network:
-    """Round-synchronous transport with per-directed-edge bandwidth checks.
+    """Round-synchronous transport; every chunk sent is checked against B.
 
     paths, heads, edge_state and register are the message steps that
     meta.run_phases calls once per phase (register only before the last).
     """
 
     def __init__(self, g: Graph, c_b: int = 4, record_messages: bool = False):
+        if c_b < 1:
+            raise ValueError(f"need c_b >= 1, got c_b={c_b}")
         n = g.n
         self.id_bits = max(1, math.ceil(math.log2(max(n, 2))))
         self.weight_bits = max(1, math.ceil(math.log2(g.max_weight() + 1)))
@@ -82,60 +98,91 @@ class Network:
         self.messages = 0
         self.bits_total = 0
         self.max_bits = 0
+        self.tags: dict[str, dict[str, int]] = {}  # tag -> rounds/messages/bits
         self.log: list | None = [] if record_messages else None
         self.phase_starts: list[int] = []
         self.children: dict = {}  # (root, vertex) -> vertex's children in root's tree
 
-    def queue(self, bits: int, tag: str, payload) -> list:
-        """Chunk a payload of `bits` bits into per-round messages; the
-        payload object rides the final chunk."""
-        bits = max(1, bits)
-        out = []
-        while bits > self.B:
-            out.append((self.B, tag, None))
-            bits -= self.B
-        out.append((bits, tag, payload))
-        return out
+    def queue(self, bits: int, tag: str) -> tuple:
+        """Chunk a `bits`-bit message into per-round (bits, tag) chunks of
+        at most B bits, the remainder last."""
+        full, last = divmod(max(1, bits) - 1, self.B)
+        return ((self.B, tag),) * full + ((last + 1, tag),)
 
-    def transmit(self, outboxes: dict) -> tuple[dict, int]:
-        """Drain queues one message per directed edge per round.
+    def transmit(self, sends) -> tuple[dict, int]:
+        """Deliver one message wave.
 
-        outboxes: (src, dst) -> list of (bits, tag, payload) or None slots.
-        Returns (inboxes keyed by (src, dst) holding completed payloads,
-        rounds used).
+        sends: (src, receivers, chunks, payloads) per send. src sends the
+        same chunk list, one (bits, tag) chunk per round from the next
+        round on, to each of its receivers; payloads yields one payload
+        per receiver, in receiver order, that rides the final chunk.
+        Traffic is accounted per send, by multiplying by the receiver
+        count; the message log, when recorded, lists each message in
+        round order and then in send order.
+        Returns (inbox dst -> {src: payload}, rounds used).
         """
-        depth = max((len(q) for q in outboxes.values()), default=0)
-        inboxes: dict = {}
-        for r in range(depth):
-            self.round += 1
-            for edge, q in outboxes.items():
-                if r >= len(q) or q[r] is None:
-                    continue
-                bits, tag, payload = q[r]
-                if bits > self.B:
-                    raise BandwidthExceeded(
-                        f"round {self.round} edge {edge}: message of {bits} bits "
-                        f"exceeds B={self.B}")
-                self.messages += 1
-                self.bits_total += bits
-                self.max_bits = max(self.max_bits, bits)
-                if self.log is not None:
-                    self.log.append((self.round, edge, bits, tag))
-                if payload is not None:
-                    inboxes.setdefault(edge, []).append(payload)
-        return inboxes, depth
+        inbox: dict = defaultdict(dict)
+        stats: dict = {}  # chunk list -> (rounds, bits, per-tag counts)
+        tag_rounds: dict[str, set] = {}
+        depth = 0
+        log = [] if self.log is not None else None
+        for src, receivers, chunks, payloads in sends:
+            fan = len(receivers)
+            if not fan:
+                continue
+            st = stats.get(chunks)
+            if st is None:
+                st = stats[chunks] = self._chunk_stats(src, receivers, chunks)
+            rounds, bits, per_tag = st
+            depth = max(depth, rounds)
+            self.messages += rounds * fan
+            self.bits_total += bits * fan
+            for tag, count, tag_bits, used in per_tag:
+                acc = self.tags[tag]
+                acc["messages"] += count * fan
+                acc["bits"] += tag_bits * fan
+                tag_rounds.setdefault(tag, set()).update(used)
+            for dst, payload in zip(receivers, payloads):
+                inbox[dst][src] = payload
+            if log is not None:
+                edges = list(zip(repeat(src), receivers))
+                for r, (b, tag) in enumerate(chunks, start=self.round + 1):
+                    log.extend(zip(repeat(r), edges, repeat(b), repeat(tag)))
+        for tag, used in tag_rounds.items():
+            self.tags[tag]["rounds"] += len(used)
+        if log:
+            log.sort(key=itemgetter(0))  # stable: send order within a round
+            self.log.extend(log)
+        self.round += depth
+        return inbox, depth
+
+    def _chunk_stats(self, src, receivers, chunks):
+        """Check one chunk list against B, fold it into max_bits, and sum
+        it per tag: (chunks, bits, ((tag, chunks, bits, chunk indices), ...))."""
+        per_tag: dict[str, list] = {}
+        for r, (bits, tag) in enumerate(chunks):
+            if bits > self.B:
+                raise BandwidthExceeded(
+                    f"round {self.round + r + 1} edge {(src, receivers[0])}: "
+                    f"message of {bits} bits exceeds B={self.B}")
+            self.max_bits = max(self.max_bits, bits)
+            acc = per_tag.setdefault(tag, [0, 0, []])
+            acc[0] += 1
+            acc[1] += bits
+            acc[2].append(r)
+            self.tags.setdefault(tag, {"rounds": 0, "messages": 0, "bits": 0})
+        return (len(chunks), sum(b for b, _ in chunks),
+                tuple((tag, c, b, used) for tag, (c, b, used) in per_tag.items()))
 
     def paths(self, samples, inc):
         """(a) Pipeline each vertex's sample list to its remaining-edge
         neighbors. Returns v -> {neighbor: the sample list v received}."""
         self.phase_starts.append(self.round)
-        outboxes: dict = {}
-        for v, s in samples.items():
-            msgs = self.queue(_path_stream_bits(self, s), "paths", tuple(s))
-            for w, eid, u in inc[v]:
-                outboxes[(v, u)] = msgs
-        inbox, _ = self.transmit(outboxes)
-        return lambda v: {u: inbox[(u, v)][0] for (w, eid, u) in inc[v]}
+        inbox, _ = self.transmit(
+            (v, _receivers(inc[v]),
+             self.queue(_path_stream_bits(self, s), "paths"), repeat(tuple(s)))
+            for v, s in samples.items())
+        return lambda v: inbox[v]
 
     def heads(self, centers, samples, inc):
         """(c) Announce the surviving centers down the registered trees,
@@ -144,22 +191,22 @@ class Network:
         # roots enter in ascending order, so the message log does not
         # depend on how the caller built its center set
         received, _ = tree_broadcast(self, self.children, set(sorted(centers)))
-        outboxes: dict = {}
+        sends = []
         for u, s in samples.items():
             got = received.get(u, ())
             flags = tuple(p.head in got for p in s)
-            msgs = self.queue(len(flags) + 2, "heads", flags)
-            for w, eid, v in inc[u]:
-                outboxes[(u, v)] = msgs
-        inbox, _ = self.transmit(outboxes)
+            sends.append((u, _receivers(inc[u]),
+                          self.queue(len(flags) + 2, "heads"), repeat(flags)))
+        inbox, _ = self.transmit(sends)
 
         def head_test(v):
             got = received.get(v, ())
+            box = inbox[v]
 
             def is_head(entry):
                 if entry.src is None:
                     return entry.head in got
-                return inbox[(entry.src, v)][0][entry.sample_idx]
+                return box[entry.src][entry.sample_idx]
             return is_head
         return head_test
 
@@ -170,20 +217,20 @@ class Network:
         were bought by either endpoint)."""
         key_bits = self.weight_bits + self.edge_id_bits
         le = {v: set(ids) for v, ids in le.items()}
-        outboxes: dict = {}
+        sends = []
         for v, le_v in le.items():
             ok = v in thr
-            bits = 2 + (key_bits if ok else 0) + 2
-            msgs = [self.queue(bits, "edge-state", (ok, thr.get(v), b))
-                    for b in (False, True)]
-            for w, eid, u in inc[v]:
-                outboxes[(v, u)] = msgs[eid in le_v]
-        inbox, _ = self.transmit(outboxes)
+            # only the bought flag depends on the receiver's edge
+            state = ((ok, thr.get(v), False), (ok, thr.get(v), True))
+            sends.append((v, _receivers(inc[v]),
+                          self.queue(2 + (key_bits if ok else 0) + 2, "edge-state"),
+                          [state[eid in le_v] for w, eid, u in inc[v]]))
+        inbox, _ = self.transmit(sends)
 
         def peer(v):
-            thr_of, seen = {}, set(le[v])
+            thr_of, seen, box = {}, set(le[v]), inbox[v]
             for w, eid, u in inc[v]:
-                ok_u, thr_u, le_u = inbox[(u, v)][0]
+                ok_u, thr_u, le_u = box[u]
                 if ok_u:
                     thr_of[u] = thr_u
                 if le_u:
@@ -207,26 +254,31 @@ class Network:
                     # chain for this tree; relays must not repeat it
                     forwarded.setdefault(v, set()).add(p.head)
         while pending:
-            outboxes: dict = {}
+            sends = []
+            edges: set = set()
             for sender, receiver, root, prefix in pending:
                 edge = (sender, receiver)
-                if edge in outboxes:
+                if edge in edges:
                     raise BandwidthExceeded(
                         f"edge {edge} would carry two tree registrations in one "
                         f"wave; vertex independence violated")
+                edges.add(edge)
                 bits = (len(prefix) + 1) * self.id_bits + 2
-                outboxes[edge] = self.queue(bits, "register", (root, prefix))
-            inbox, _ = self.transmit(outboxes)
+                sends.append((sender, (receiver,), self.queue(bits, "register"),
+                              ((root, prefix),)))
+            inbox, _ = self.transmit(sends)
             pending = []
-            for (sender, receiver), msgs in inbox.items():
-                for root, prefix in msgs:
-                    kids = self.children.setdefault((root, receiver), [])
-                    if sender not in kids:
-                        kids.append(sender)
-                    done = forwarded.setdefault(receiver, set())
-                    if len(prefix) >= 2 and root not in done:
-                        done.add(root)
-                        pending.append((receiver, prefix[-2], root, prefix[:-1]))
+            # handled as they complete: shorter messages first, then in
+            # send order
+            for sender, (receiver,), _, _ in sorted(sends, key=lambda s: len(s[2])):
+                root, prefix = inbox[receiver][sender]
+                kids = self.children.setdefault((root, receiver), [])
+                if sender not in kids:
+                    kids.append(sender)
+                done = forwarded.setdefault(receiver, set())
+                if len(prefix) >= 2 and root not in done:
+                    done.add(root)
+                    pending.append((receiver, prefix[-2], root, prefix[:-1]))
 
 
 def tree_broadcast(net: Network, children: dict, roots) -> tuple[dict, int]:
@@ -244,26 +296,31 @@ def tree_broadcast(net: Network, children: dict, roots) -> tuple[dict, int]:
         received.setdefault(s, set()).add(s)
         frontier.append((s, s))
     rounds = 0
+    chunks = net.queue(net.id_bits + 2, "center")
     while frontier:
-        outboxes: dict = {}
-        meta: dict = {}
+        sends = []
+        edges: set = set()
         for root, x in frontier:
             for child in children.get((root, x), ()):
                 edge = (x, child)
-                if edge in outboxes:
+                if edge in edges:
                     raise BandwidthExceeded(
                         f"edge {edge} would carry two center announcements in "
                         f"one wave; vertex independence violated")
-                outboxes[edge] = net.queue(net.id_bits + 2, "center", root)
-                meta[edge] = (root, child)
-        if not outboxes:
+                edges.add(edge)
+                sends.append((x, (child,), chunks, (root,)))
+        if not sends:
             break
-        _, used = net.transmit(outboxes)
+        inbox, used = net.transmit(sends)
         rounds += used
-        frontier = list(meta.values())
+        frontier = [(inbox[child][x], child) for x, (child,), _, _ in sends]
         for root, child in frontier:
             received.setdefault(child, set()).add(root)
     return received, rounds
+
+
+def _receivers(inc_v) -> list:
+    return list(map(itemgetter(2), inc_v))
 
 
 def _path_stream_bits(net: Network, paths) -> int:
@@ -296,7 +353,7 @@ def simulate_distributed_spanner(g: Graph, f: int, k: int, seed=0,
         max_bits=net.max_bits, messages=net.messages,
         bits_total=net.bits_total, bandwidth=net.B, id_bits=net.id_bits,
         weight_bits=net.weight_bits, edge_id_bits=net.edge_id_bits,
-        log=net.log)
+        log=net.log, tags=net.tags)
 
     result = SpannerResult(
         algo="congest-sim", n=g.n, m=g.m, graph_sha=g.sha(),

@@ -153,6 +153,30 @@ def test_simulate_message_log_dump(tmp_path):
     assert rnd >= 1 and bits >= 1 and tag >= 1
 
 
+def test_simulate_prints_per_tag_summary(tmp_path, capsys):
+    g = tmp_path / "g.txt"
+    run("gen", "--kind", "complete", "--n", 30, "--seed", 2, "--weights", "1:1000",
+        "-o", g)
+    capsys.readouterr()
+    assert run("simulate", "--graph", g, "--f", 1, "--k", 2, "-o",
+               tmp_path / "sim.json") == 0
+    rounds_line, tags_line = capsys.readouterr().err.splitlines()[-2:]
+    rounds, tags = json.loads(rounds_line), json.loads(tags_line)["tags"]
+    assert {"paths", "heads", "edge-state"} <= set(tags)
+    assert sum(t["rounds"] for t in tags.values()) == rounds["total_rounds"]
+    assert sum(t["messages"] for t in tags.values()) == rounds["messages"]
+    assert sum(t["bits"] for t in tags.values()) == rounds["bits_total"]
+
+
+def test_simulate_bandwidth_below_one_exits_2(tmp_path, capsys):
+    g = tmp_path / "g.txt"
+    run("gen", "--kind", "cycle", "--n", 6, "-o", g)
+    for cb in (0, -3):
+        capsys.readouterr()
+        assert run("simulate", "--graph", g, "--f", 1, "--k", 2, "--cb", cb) == 2
+        assert "need c_b >= 1" in capsys.readouterr().err
+
+
 def test_report_human_and_tsv(tmp_path, capsys):
     g = tmp_path / "g.txt"
     r = tmp_path / "r.json"

@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from ftspanner.cli import _dump_message_log
 from ftspanner.congest import (BandwidthExceeded, Network, RoundReport,
                                simulate_distributed_spanner, tree_broadcast)
 from ftspanner.graphs import Graph, generate
@@ -10,18 +13,25 @@ def test_network_bandwidth_enforced():
     g = generate("cycle", n=4)
     net = Network(g, c_b=4)
     with pytest.raises(BandwidthExceeded):
-        net.transmit({(0, 1): [(net.B + 1, "x", None)]})
+        net.transmit([(0, (1,), ((net.B + 1, "x"),), (None,))])
 
 
 def test_network_chunking_and_stats():
     g = generate("cycle", n=4)
     net = Network(g, c_b=4)
-    q = net.queue(3 * net.B + 1, "x", "payload")
+    q = net.queue(3 * net.B + 1, "x")
     assert len(q) == 4
-    inbox, rounds = net.transmit({(0, 1): q})
+    inbox, rounds = net.transmit([(0, (1,), q, ("payload",))])
     assert rounds == 4 and net.round == 4
-    assert inbox[(0, 1)] == ["payload"]
+    assert inbox == {1: {0: "payload"}}
     assert net.max_bits == net.B and net.messages == 4
+
+
+def test_network_rejects_bandwidth_below_one():
+    g = generate("cycle", n=4)
+    for c_b in (0, -1):
+        with pytest.raises(ValueError, match="c_b >= 1"):
+            Network(g, c_b=c_b)
 
 
 def children_of(trees):
@@ -59,6 +69,57 @@ def test_tree_broadcast_rejects_shared_child_edge():
     trees = {2: {0: 2, 1: 0}, 3: {0: 3, 1: 0}}
     with pytest.raises(BandwidthExceeded):
         tree_broadcast(net, children_of(trees), [2, 3])
+
+
+def test_message_log_obeys_bandwidth_model():
+    g = generate("complete", n=60, seed=1, weights=(1, 1000))
+    res, rr = simulate_distributed_spanner(g, 1, 3, seed=0, c_k=1,
+                                           record_messages=True)
+    # phase 2 clusters around surviving centers, so the center
+    # announcements and the second registration run too
+    assert res.trace[1].clustered > 0 and res.trace[1].centers > 0
+    assert res.edge_count < g.m
+    assert set(rr.tags) == {"paths", "heads", "edge-state", "center", "register"}
+    links = {(v, u) for v in range(g.n) for w, eid, u in g.adj[v]}
+    slots = set()
+    recount = {}
+    last = 0
+    for rnd, edge, bits, tag in rr.log:
+        assert 1 <= bits <= rr.bandwidth
+        assert edge in links
+        assert (rnd, edge) not in slots  # one message per directed edge per round
+        slots.add((rnd, edge))
+        assert last <= rnd <= rr.total_rounds
+        last = rnd
+        acc = recount.setdefault(tag, [set(), 0, 0])
+        acc[0].add(rnd)
+        acc[1] += 1
+        acc[2] += bits
+    assert len(rr.log) == rr.messages
+    assert sum(bits for _, _, bits, _ in rr.log) == rr.bits_total
+    assert max(bits for _, _, bits, _ in rr.log) == rr.max_bits
+    assert rr.tags == {tag: {"rounds": len(rounds), "messages": count, "bits": bits}
+                       for tag, (rounds, count, bits) in recount.items()}
+    assert sum(t["rounds"] for t in rr.tags.values()) == rr.total_rounds
+    plain, pr = simulate_distributed_spanner(g, 1, 3, seed=0, c_k=1)
+    assert pr.log is None
+    assert pr.to_dict() == rr.to_dict() and pr.tags == rr.tags
+    assert plain.edges == res.edges
+
+
+def test_registrations_handled_shortest_first(tmp_path):
+    # registrations of different lengths share a wave; they are handled
+    # as they complete, shortest first, and that order sets the next
+    # wave's send order, which the pinned message log shows
+    g = generate("complete", n=17, seed=28, weights=(1, 1000))
+    res, rr = simulate_distributed_spanner(g, 1, 4, seed=597529, c_k=1, c_b=2,
+                                           record_messages=True)
+    assert [t.clustered for t in res.trace] == [17, 17, 9, 0]
+    assert len({bits for _, _, bits, tag in rr.log if tag == "register"}) > 1
+    log = tmp_path / "sim.log"
+    _dump_message_log(rr.log, str(log))
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == (
+        "887a39b4fb5ebf03fa90b10a118e6f741ea59e8341c5550660439ebd69cd0823")
 
 
 def test_star_graph_simulation():
