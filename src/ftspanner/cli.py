@@ -147,7 +147,7 @@ def _dump_message_log(log, path: str):
 def cmd_simulate(args) -> int:
     g = _read_graph(args.graph)
     res, rounds = simulate_distributed_spanner(
-        g, args.f, args.k, seed=args.seed, c_b=args.cb,
+        g, args.f, args.k, seed=args.seed, c_b=args.cb, c_k=args.ck, c_s=args.cs,
         record_messages=bool(args.dump_log))
     _write(res.to_json(), args.out)
     if args.dump_log:
@@ -334,6 +334,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cb", type=int, default=4)
+    p.add_argument("--ck", type=int, default=20)
+    p.add_argument("--cs", type=int, default=4)
     p.add_argument("--dump-log", help="write the binary message log here")
     p.add_argument("-o", "--out")
     p.set_defaults(fn=cmd_simulate)

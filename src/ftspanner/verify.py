@@ -23,6 +23,24 @@ child that is still a subset of F*. So the tree's worst distance is the
 enumeration's. An edge found violated is then enumerated literally, so the
 report lists every violating fault set. Both checks are cross-checked in
 the tests against a definition-unrolled scan.
+
+Shared maps: the relevant set and the root path come from capped
+single-source maps (distances and parents) of u and of v. verify_spanner
+takes one map per vertex with a dropped edge, capped at the largest bound
+over that vertex's dropped edges, reuses it for each of them, and frees it
+after the last. This is exact because the heap pops at distance <= bound,
+and the parent pointers they set, do not depend on how far above bound the
+cap lies; so base, the relevant set, the fault-set count and the root
+path are those of maps capped at the edge's own bound.
+
+Goal-directed searches: each branching search is A* toward v, ordered by
+distance plus the fault-free distance to v from v's map. Faults only
+remove vertices, so that heuristic never exceeds a remaining distance and
+is consistent, and the first pop of v gives the exact distance. A vertex
+whose sum exceeds the bound, or which v's map does not reach, lies on no
+u-v path within the bound and is skipped. On ties the path found may
+differ from plain Dijkstra's, but the argument above holds for any
+shortest path, so verdicts, worst ratios and reports do not change.
 """
 
 from __future__ import annotations
@@ -106,49 +124,63 @@ def _interior(parent, u, v):
     return tuple(interior)
 
 
-def _dist_avoid(adj, u: int, v: int, dead: frozenset, cutoff=INF):
+def _dist_avoid(adj, u: int, v: int, dead: frozenset, cutoff=INF, goal=None):
     """u-v distance avoiding dead vertices, with the interior vertices of one
-    shortest path; (INF, ()) if above cutoff or disconnected."""
+    shortest path; (INF, ()) if above cutoff or disconnected.
+
+    With goal, the fault-free distances to v from a map of v capped at or
+    above cutoff, the search is A*: a vertex y is ordered by its distance
+    plus goal[y], and skipped when that sum exceeds cutoff or goal has no
+    entry for it."""
     best = {u: 0}
     parent = {}
     heap = [(0, u)]
     done = set()
     while heap:
-        d, x = heappop(heap)
+        _, x = heappop(heap)
         if x in done:
             continue
         if x == v:
-            return d, _interior(parent, u, v)
+            return best[v], _interior(parent, u, v)
         done.add(x)
+        d = best[x]
         for y, w in adj[x]:
             if y in dead or y in done:
                 continue
             nd = d + w
-            if nd <= cutoff and nd < best.get(y, INF):
+            if goal is None:
+                est = nd
+            elif y in goal:
+                est = nd + goal[y]
+            else:
+                continue
+            if est <= cutoff and nd < best.get(y, INF):
                 best[y] = nd
                 parent[y] = x
-                heappush(heap, (nd, y))
+                heappush(heap, (est, y))
     return INF, ()
 
 
-def _relevant(adj, u, v, bound):
-    """The u-v distance, the sorted vertices other than u, v that lie on some
-    u-v path of length <= bound, and the interior of one shortest u-v path
-    (INF and () if the distance exceeds bound)."""
-    du, parent = _sssp_upto(adj, u, bound)
-    dv, _ = _sssp_upto(adj, v, bound)
+def _relevant(mu, mv, u, v, bound):
+    """From the capped maps (distances, parents) of u and v, each taken at a
+    cutoff >= bound: the u-v distance, the sorted vertices other than u, v
+    that lie on some u-v path of length <= bound, and the interior of one
+    shortest u-v path (INF and () if the distance exceeds bound)."""
+    du, parent = mu
+    dv, _ = mv
     relevant = sorted(x for x, d in du.items()
-                      if x != u and x != v and x in dv and d + dv[x] <= bound)
-    if v not in du:
+                      if x != u and x != v and d + dv.get(x, INF) <= bound)
+    if du.get(v, INF) > bound:
         return INF, relevant, ()
     return du[v], relevant, _interior(parent, u, v)
 
 
-def _branch(adj, u, v, w, bound, k_eff, base, interior):
+def _branch(adj, u, v, w, bound, k_eff, base, interior, goal):
     """The branching check, from a shortest u-v path of length base <= bound
     and the given interior: each fault set of up to k_eff vertices is
-    extended by each interior vertex of its own short path. Returns
-    (ok, worst_ratio); worst_ratio is INF if not ok."""
+    extended by each interior vertex of its own short path, found by A*
+    toward v with goal = v's fault-free distances. Returns (ok, worst_ratio);
+    worst_ratio is INF if not ok."""
     worst = base
     seen = set()
     stack = [(frozenset(), interior)] if k_eff else []
@@ -159,7 +191,7 @@ def _branch(adj, u, v, w, bound, k_eff, base, interior):
             if child in seen:
                 continue
             seen.add(child)
-            d, sub = _dist_avoid(adj, u, v, child, bound)
+            d, sub = _dist_avoid(adj, u, v, child, bound, goal)
             if d > bound:
                 return False, INF
             worst = max(worst, d)
@@ -187,11 +219,13 @@ def _enumerate(adj, u, v, w, bound, base, relevant, k_eff):
     return ok, worst, violations
 
 
-def _protection_scan(adj, u, v, w, f, i, cap, collect):
-    """Decide protection of (u,v). Returns (ok, worst_ratio, violations,
-    fault_sets covered); violations are collected only if collect."""
+def _protection_scan(adj, mu, mv, u, v, w, f, i, cap, collect):
+    """Decide protection of (u,v) from the capped maps mu, mv of u and v,
+    each taken at a cutoff >= (2i-1)w. Returns (ok, worst_ratio,
+    violations, fault_sets covered); violations are collected only if
+    collect."""
     bound = (2 * i - 1) * w
-    base, relevant, interior = _relevant(adj, u, v, bound)
+    base, relevant, interior = _relevant(mu, mv, u, v, bound)
     if base > bound:
         actual, _ = _dist_avoid(adj, u, v, frozenset())
         return False, (actual / w if actual < INF else INF), [((), actual, bound)], 1
@@ -202,11 +236,18 @@ def _protection_scan(adj, u, v, w, f, i, cap, collect):
     if todo > cap:
         raise BudgetExceeded(
             f"{todo} fault sets exceed the cap of {cap}; use sampled mode")
-    ok, worst = _branch(adj, u, v, w, bound, k_eff, base, interior)
+    ok, worst = _branch(adj, u, v, w, bound, k_eff, base, interior, mv[0])
     if ok or not collect:
         return ok, worst, [], todo
     ok, worst, violations = _enumerate(adj, u, v, w, bound, base, relevant, k_eff)
     return ok, worst, violations, todo
+
+
+def _check_params(f, k):
+    if f < 0:
+        raise ValueError(f"need f >= 0, got f={f}")
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k={k}")
 
 
 def is_protected(h: Graph, u: int, v: int, w: int, f: int, i: int,
@@ -214,8 +255,11 @@ def is_protected(h: Graph, u: int, v: int, w: int, f: int, i: int,
     """Exhaustively decide protection of the edge (u,v) of weight w in h."""
     if u == v:
         raise ValueError("edge endpoints must differ")
+    _check_params(f, i)
     adj = _subgraph_adj(h, range(h.m))
-    ok, _, _, _ = _protection_scan(adj, u, v, w, f, i, cap, collect=False)
+    bound = (2 * i - 1) * w
+    ok, _, _, _ = _protection_scan(adj, _sssp_upto(adj, u, bound), _sssp_upto(adj, v, bound),
+                                   u, v, w, f, i, cap, collect=False)
     return ok
 
 
@@ -264,20 +308,42 @@ def verify_spanner(g: Graph, h, f: int, k: int, mode: str = "exhaustive",
     draws N fault sets per edge and N random (u, v, F) triples compared
     against (2k-1) times the distance in g minus F.
     """
+    _check_params(f, k)
+    if mode != "exhaustive":
+        kind, _, count = mode.partition(":")
+        if kind != "sampled":
+            raise ValueError(f"unknown mode {mode!r}")
+        n_samples = int(count) if count else 64
+        if n_samples < 1:
+            raise ValueError(f"need N >= 1 in sampled:N, got {mode!r}")
     h_ids = _normalize_subgraph(g, h)
     h_adj = _subgraph_adj(g, h_ids)
     report = VerificationReport(mode=mode, f=f, k=k)
     budget = cap
 
     if mode == "exhaustive":
+        # One capped map per vertex with a dropped edge, at the largest bound
+        # over those edges, freed after the last of them.
+        cutoff, last, maps = {}, {}, {}
+        for eid, (u, v, w) in enumerate(g.edges):
+            if eid not in h_ids:
+                for x in (u, v):
+                    cutoff[x] = max(cutoff.get(x, 0), (2 * k - 1) * w)
+                    last[x] = eid
         for eid, (u, v, w) in enumerate(g.edges):
             report.edges_checked += 1
             if eid in h_ids:
                 report.per_edge[eid] = 1.0
                 report.worst_stretch = max(report.worst_stretch, 1.0)
                 continue
+            for x in (u, v):
+                if x not in maps:
+                    maps[x] = _sssp_upto(h_adj, x, cutoff[x])
             ok, worst, viols, used = _protection_scan(
-                h_adj, u, v, w, f, k, budget, collect=True)
+                h_adj, maps[u], maps[v], u, v, w, f, k, budget, collect=True)
+            for x in (u, v):
+                if last[x] == eid:
+                    del maps[x]
             budget -= used
             if budget < 0:
                 raise BudgetExceeded("fault-set cap exhausted; use sampled mode")
@@ -290,9 +356,6 @@ def verify_spanner(g: Graph, h, f: int, k: int, mode: str = "exhaustive",
                     report.violations.append(((u, v), tuple(fault), d, bnd))
         return report
 
-    if not mode.startswith("sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    n_samples = int(mode.split(":", 1)[1]) if ":" in mode else 64
     rng = substream(seed, "verify", n_samples)
     g_adj = _subgraph_adj(g, range(g.m))
     others = list(range(g.n))

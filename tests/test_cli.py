@@ -71,6 +71,22 @@ def test_verify_without_f_k_exits_2(tmp_path, capsys):
     assert run("verify", "--graph", g, "--result", full, "--f", 1, "--k", 2) == 0
 
 
+@pytest.mark.parametrize("flags, value", [
+    (("--f", -1, "--k", 2), "f=-1"), (("--f", 1, "--k", 0), "k=0"),
+    (("--f", 1, "--k", 2, "--mode", "sampled:0"), "sampled:0"),
+    (("--f", 1, "--k", 2, "--mode", "sampled:-2"), "sampled:-2"),
+])
+def test_verify_bad_parameters_exit_2(tmp_path, capsys, flags, value):
+    g, r = tmp_path / "g.txt", tmp_path / "r.json"
+    run("gen", "--kind", "cycle", "--n", 8, "-o", g)
+    graph = load_graph(g.read_text())
+    r.write_text(_manual_result(graph, range(graph.m - 1)).to_json())
+    capsys.readouterr()
+    assert run("verify", "--graph", g, "--result", r, *flags) == 2
+    err = capsys.readouterr().err
+    assert value in err and "PASS" not in err and "FAIL" not in err
+
+
 def test_graph_above_vertex_limit_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(graphs, "MAX_VERTICES", 100)
     g = tmp_path / "g.txt"
@@ -132,6 +148,23 @@ def test_simulate_equals_build(tmp_path):
                "--seed", 5, "-o", r2) == 0
     sim = SpannerResult.from_json(r1.read_text())
     seq = SpannerResult.from_json(r2.read_text())
+    assert sim.edges == seq.edges
+
+
+def test_simulate_ck_equals_build_ck(tmp_path):
+    # At c_k = 1 the build clusters and drops edges on K30; simulate must
+    # take the same constants and return the same edges.
+    g = tmp_path / "g.txt"
+    r1, r2 = tmp_path / "sim.json", tmp_path / "seq.json"
+    run("gen", "--kind", "complete", "--n", 30, "--weights", "1:1000", "--seed", 4,
+        "-o", g)
+    assert run("simulate", "--graph", g, "--f", 1, "--k", 3, "--seed", 2,
+               "--ck", 1, "--cs", 4, "-o", r1) == 0
+    assert run("build", "--graph", g, "--f", 1, "--k", 3, "--seed", 2,
+               "--ck", 1, "--cs", 4, "-o", r2) == 0
+    sim = SpannerResult.from_json(r1.read_text())
+    seq = SpannerResult.from_json(r2.read_text())
+    assert seq.edge_count < seq.m
     assert sim.edges == seq.edges
 
 

@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import protected_direct, small_random_graph
+from ftspanner import verify
 from ftspanner.graphs import Graph, generate
 from ftspanner.meta import build_ft_spanner
 from ftspanner.rng import substream
-from ftspanner.verify import (BudgetExceeded, _branch, _enumerate, _relevant,
-                              _subgraph_adj, is_protected, verify_certificate,
-                              verify_spanner)
+from ftspanner.verify import (BudgetExceeded, _branch, _dist_avoid, _enumerate,
+                              _relevant, _sssp_upto, _subgraph_adj, is_protected,
+                              verify_certificate, verify_spanner)
 
 INF = math.inf
 
@@ -112,9 +113,10 @@ def test_branching_matches_enumeration():
         adj = _subgraph_adj(h, range(h.m))
         for u, v, w in g.edges:
             bound = (2 * i - 1) * w
-            base, relevant, interior = _relevant(adj, u, v, bound)
+            mv = _sssp_upto(adj, v, bound)
+            base, relevant, interior = _relevant(_sssp_upto(adj, u, bound), mv, u, v, bound)
             k_eff = min(f, len(relevant))
-            ok, worst = (_branch(adj, u, v, w, bound, k_eff, base, interior)
+            ok, worst = (_branch(adj, u, v, w, bound, k_eff, base, interior, mv[0])
                          if base <= bound else (False, INF))
             ok_enum, worst_enum, violations = _enumerate(
                 adj, u, v, w, bound, base, relevant, k_eff)
@@ -128,6 +130,122 @@ def test_branching_matches_enumeration():
     # Non-vacuous: many edges pass, and some survive F = {} but not all F.
     assert verdicts.count((True, True)) >= 100
     assert verdicts.count((False, True)) >= 20
+
+
+def test_goal_directed_search_matches_plain_search():
+    # A* toward v, with v's fault-free map as the heuristic, must find the
+    # plain search's distance under any dead set, along a path that avoids
+    # the dead set and has exactly that length.
+    found = []
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(host_cases(), st.data())
+    def check(case, data):
+        g, kept, _, i = case
+        h = Graph(g.n, [g.edges[e] for e in kept])
+        adj = _subgraph_adj(h, range(h.m))
+        weight = {}
+        for a, b, w in h.edges:
+            weight[a, b] = weight[b, a] = w
+        for u, v, w in g.edges:
+            bound = (2 * i - 1) * w
+            goal, _ = _sssp_upto(adj, v, bound + data.draw(st.integers(0, 8)))
+            others = [x for x in range(g.n) if x != u and x != v]
+            dead = frozenset(data.draw(st.lists(st.sampled_from(others), max_size=2))
+                             if others else ())
+            d, interior = _dist_avoid(adj, u, v, dead, bound, goal)
+            assert d == _dist_avoid(adj, u, v, dead, bound)[0]
+            if d < INF:
+                walk = [v, *interior, u]
+                assert not dead & set(walk)
+                assert sum(weight[a, b] for a, b in zip(walk, walk[1:])) == d
+            found.append((bool(dead), d < INF))
+
+    check()
+    # Non-vacuous: faulted searches both succeed and fail within the bound.
+    assert found.count((True, True)) >= 100
+    assert found.count((True, False)) >= 20
+
+
+def test_map_at_larger_cutoff_agrees_within_bound():
+    # Within the bound, a capped map taken at a larger cutoff has the same
+    # distances and parents as one taken at the bound.
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(host_cases(), st.integers(1, 20))
+    def check(case, extra):
+        g, kept, _, i = case
+        h = Graph(g.n, [g.edges[e] for e in kept])
+        adj = _subgraph_adj(h, range(h.m))
+        for u, _, w in g.edges:
+            bound = (2 * i - 1) * w
+            dist, parent = _sssp_upto(adj, u, bound)
+            wide_dist, wide_parent = _sssp_upto(adj, u, bound + extra)
+            assert {x: d for x, d in wide_dist.items() if d <= bound} == dist
+            assert {x: p for x, p in wide_parent.items() if wide_dist[x] <= bound} == parent
+
+    check()
+
+
+def test_one_capped_map_per_vertex(monkeypatch):
+    # verify_spanner takes each vertex's capped map once, however many of
+    # its edges were dropped, at the largest bound over those edges.
+    g = generate("complete", n=40, seed=2, weights=(1, 1000))
+    res = build_ft_spanner(g, 1, 3, seed=2, c_k=1)
+    kept = set(res.edges)
+    assert len(kept) < g.m
+    expected = {}
+    for e in range(g.m):
+        if e not in kept:
+            u, v, w = g.edges[e]
+            for x in (u, v):
+                expected[x] = max(expected.get(x, 0), 5 * w)
+    calls = []
+    real = verify._sssp_upto
+
+    def counted(adj, src, cutoff):
+        calls.append((src, cutoff))
+        return real(adj, src, cutoff)
+
+    monkeypatch.setattr(verify, "_sssp_upto", counted)
+    assert verify_spanner(g, res.edges, 1, 3).passed
+    assert sorted(calls) == sorted(expected.items())
+
+
+def test_stretch_exactly_at_the_bound_passes():
+    # C4 minus an edge: the detour is 3 = (2k-1)w at k=2, so the edge is
+    # protected at f=0, and the capped maps must reach the bound itself.
+    c4 = generate("cycle", n=4)
+    rep = verify_spanner(c4, range(c4.m - 1), 0, 2)
+    assert rep.passed and rep.worst_stretch == 3.0
+    assert not verify_spanner(c4, range(c4.m - 1), 1, 2).passed
+
+
+def test_exhaustive_check_at_clustering_scale():
+    # K100 meta-seq at c_k=1 clusters and drops about half its edges; it
+    # passes exhaustive verification, and fails without its lightest edge.
+    g = generate("complete", n=100, seed=1, weights=(1, 1000))
+    res = build_ft_spanner(g, 1, 3, seed=1, c_k=1)
+    assert res.trace[0].clustered and res.edge_count < g.m
+    assert verify_spanner(g, res.edges, 1, 3).passed
+    lightest = min(res.edges, key=g.key)
+    rep = verify_spanner(g, [e for e in res.edges if e != lightest], 1, 3)
+    assert not rep.passed
+    assert g.edges[lightest][:2] in {edge for edge, _, _, _ in rep.violations}
+
+
+@pytest.mark.parametrize("f, k, mode, value", [
+    (-1, 2, "exhaustive", "f=-1"), (1, 0, "exhaustive", "k=0"),
+    (1, -2, "sampled:4", "k=-2"), (1, 2, "sampled:0", "sampled:0"),
+    (1, 2, "sampled:-2", "sampled:-2"), (1, 2, "sampledfoo", "sampledfoo"),
+])
+def test_bad_parameters_are_rejected(f, k, mode, value):
+    c8 = generate("cycle", n=8)
+    with pytest.raises(ValueError, match=value):
+        verify_spanner(c8, range(c8.m - 1), f, k, mode=mode)
+    if mode == "exhaustive":
+        u, v, w = c8.edges[-1]
+        with pytest.raises(ValueError, match=value):
+            is_protected(c8, u, v, w, f, k)
 
 
 def test_verify_identity_subgraph_passes(gnp30):
