@@ -179,6 +179,11 @@ def cmd_mis_bench(args) -> int:
 
 def cmd_hitting_set(args) -> int:
     spec = json.loads(FsPath(args.instance).read_text())
+    if not (isinstance(spec, dict) and isinstance(spec.get("ground"), list)
+            and isinstance(spec.get("sets"), list)
+            and all(isinstance(s, list) for s in spec["sets"])):
+        raise ValueError("a hitting-set instance must be a JSON object whose"
+                         " 'ground' is a list and whose 'sets' is a list of lists")
     inst = HittingInstance(
         ground=tuple(spec["ground"]),
         sets=tuple(tuple(s) for s in spec["sets"]),
@@ -379,7 +384,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (GraphError, ParseError, ValueError, FileNotFoundError, KeyError,
+    except (GraphError, ParseError, ValueError, OSError, KeyError,
             BudgetExceeded, BandwidthExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

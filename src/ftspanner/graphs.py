@@ -41,7 +41,7 @@ class Graph:
     (w, id, other) triples sorted ascending by (w, id).
     """
 
-    __slots__ = ("n", "edges", "adj", "_pair")
+    __slots__ = ("n", "edges", "adj", "_pair", "_sha")
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int, int]]):
         seen: dict[tuple[int, int], int] = {}
@@ -67,6 +67,7 @@ class Graph:
         self.edges = tuple(clean)
         self.adj = tuple(tuple(lst) for lst in adj)
         self._pair = seen
+        self._sha = None
 
     @property
     def m(self) -> int:
@@ -92,11 +93,15 @@ class Graph:
         return max((w for _, _, w in self.edges), default=1)
 
     def sha(self) -> str:
-        h = hashlib.sha256()
-        h.update(f"n {self.n}\n".encode())
-        for u, v, w in self.edges:
-            h.update(f"{u} {v} {w}\n".encode())
-        return h.hexdigest()
+        """sha256 of the edge list; hashed on the first call and cached,
+        since the graph never changes."""
+        if self._sha is None:
+            h = hashlib.sha256()
+            h.update(f"n {self.n}\n".encode())
+            for u, v, w in self.edges:
+                h.update(f"{u} {v} {w}\n".encode())
+            self._sha = h.hexdigest()
+        return self._sha
 
     def to_edge_list(self) -> str:
         lines = [f"# n {self.n}"]

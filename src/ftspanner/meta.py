@@ -22,6 +22,8 @@ flows through per-(vertex, phase) streams.
 
 from __future__ import annotations
 
+import functools
+import gc
 import math
 import time
 from dataclasses import dataclass, field
@@ -158,6 +160,14 @@ def build_fan(v: int, q_v, inc_v, samples, variant: str = "seq",
     The shortcut of an accepted path is read off its vertex tuple: base's
     vertices are the grown path's vertices but the owner, and base's tail
     is an inc_v neighbor, so the scan always hits.
+
+    mod with mis_mode "parallel" ranks the candidates by a permutation
+    drawn from pi_rng and keeps the round MIS under it. When the
+    candidates are pairwise disjoint (always so in phase 1, where every
+    sample is a single neighbor) it accepts them all and draws nothing:
+    the MIS under any order is every candidate, the entries are sorted
+    by last_key anyway, and pi_rng is a private per-(phase, vertex)
+    stream that nothing else reads, so the output is the same.
     """
     used = set()
     for p in q_v:
@@ -174,12 +184,17 @@ def build_fan(v: int, q_v, inc_v, samples, variant: str = "seq",
                  for u, key in edge_of.items()
                  for si, p in enumerate(samples[u])
                  if p.vset.isdisjoint(used)]
-        order = list(range(len(alive)))
-        if pi_rng is not None:
-            pi_rng.shuffle(order)
-        inst = PathConflictInstance(tuple(c[0].vset for c in alive), tuple(order))
-        taken, _ = parallel_greedy_mis(inst)
-        accepted = [alive[t] for t in sorted(taken, key=order.__getitem__)]
+        vsets = [c[0].vset for c in alive]
+        if sum(map(len, vsets)) == len(frozenset().union(*vsets)):
+            # pairwise disjoint: the MIS under any order takes them all
+            accepted = alive
+        else:
+            order = list(range(len(alive)))
+            if pi_rng is not None:
+                pi_rng.shuffle(order)
+            inst = PathConflictInstance(tuple(vsets), tuple(order))
+            taken, _ = parallel_greedy_mis(inst)
+            accepted = [alive[t] for t in sorted(taken, key=order.__getitem__)]
     else:
         # seq takes at most one path per neighbor, mod every disjoint one
         first_only = variant == "seq"
@@ -242,6 +257,22 @@ class LocalExchange:
         pass
 
 
+def _collector_paused(fn):
+    """Run fn with the cyclic garbage collector off, and turn it back on
+    afterwards only if it was on when fn was entered."""
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
+
+
+@_collector_paused
 def run_phases(g: Graph, f: int, k: int, *, sample_fn, centers_fn,
                variant: str = "seq", c_k: int = 20, mis: str = "greedy",
                pi_rng_fn=None, record_states: bool = False, transport=None):
@@ -255,6 +286,14 @@ def run_phases(g: Graph, f: int, k: int, *, sample_fn, centers_fn,
       edge_state(inc, thr, le, bought) -> v -> (neighbor -> threshold key
         of each clustered neighbor, edge ids v knows were bought)
       register(q) stores the new cluster trees, called before phases < k
+
+    The cyclic collector is paused for the whole call. A build allocates
+    hundreds of thousands of tracked containers (paths, fan entries, key
+    tuples), which trigger hundreds of collections that free nothing:
+    the phase loop makes no reference cycles, so reference counting
+    frees everything. tests/test_meta.py guards both halves: a build
+    leaves nothing for gc.collect(), and the collector's state is
+    restored after a normal return, after an error and when it was off.
     """
     n = g.n
     if not (1 <= f < n):

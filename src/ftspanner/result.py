@@ -68,6 +68,8 @@ class SpannerResult:
 
     @classmethod
     def from_dict(cls, d) -> "SpannerResult":
+        if not isinstance(d, dict):
+            raise ValueError(f"a result must be a JSON object, got {type(d).__name__}")
         trace = [
             PhaseTrace(t["phase"], t["centers"], t["clustered"], t["new_edges"],
                        t["remaining"], t.get("seconds", 0.0))

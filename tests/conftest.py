@@ -1,3 +1,4 @@
+import gc
 import math
 from itertools import combinations
 
@@ -47,3 +48,13 @@ def gnp30() -> Graph:
 @pytest.fixture(scope="session")
 def dense34() -> Graph:
     return generate("gnp", n=34, p=0.5, seed=11)
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    """Fail any test that ends with the cyclic garbage collector disabled,
+    so no code path can leak a paused collector into later tests."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector disabled")

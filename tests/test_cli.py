@@ -237,6 +237,34 @@ def test_report_missing_file():
     assert run("report", "--result", "/nonexistent/x.json") == 2
 
 
+_INSTANCE = {"ground": list(range(4)), "sets": [[0, 1]], "delta": 1.0}
+
+
+@pytest.mark.parametrize("argv, result_text, spec", [
+    (("build", "--graph", "DIR", "--f", 1), None, _INSTANCE),
+    (("verify", "--graph", "G", "--result", "DIR"), None, _INSTANCE),
+    (("hitting-set", "--instance", "DIR"), None, _INSTANCE),
+    (("report", "--result", "R"), "[1, 2]", _INSTANCE),
+    (("verify", "--graph", "G", "--result", "R"), "[1, 2]", _INSTANCE),
+    (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "ground": 5}),
+    (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "sets": [0, 1]}),
+    (("hitting-set", "--instance", "INST"), None, [_INSTANCE]),
+], ids=["graph-is-directory", "result-is-directory", "instance-is-directory",
+        "report-result-not-object", "verify-result-not-object",
+        "instance-ground-not-list", "instance-sets-not-lists",
+        "instance-not-object"])
+def test_bad_input_files_exit_2(tmp_path, capsys, argv, result_text, spec):
+    files = {"DIR": tmp_path, "G": tmp_path / "g.txt", "R": tmp_path / "r.json",
+             "INST": tmp_path / "inst.json"}
+    run("gen", "--kind", "cycle", "--n", 6, "-o", files["G"])
+    run("build", "--graph", files["G"], "--f", 1, "--k", 2, "-o", files["R"])
+    if result_text is not None:
+        files["R"].write_text(result_text)
+    files["INST"].write_text(json.dumps(spec))
+    assert run(*(files.get(a, a) for a in argv)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_hitting_set_command(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -60,6 +61,18 @@ def test_edge_list_roundtrip_with_isolated_vertices():
     assert any(g.degree(v) == 0 for v in range(g.n)), "fixture needs isolates"
     g2 = load_graph(g.to_edge_list())
     assert g2.n == g.n and g2.sha() == g.sha()
+
+
+def test_sha_is_hashed_on_first_call_and_cached(monkeypatch):
+    g = generate("gnp", n=12, p=0.4, seed=2, weights=(1, 9))
+    hashed = []
+    real = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda: hashed.append(1) or real())
+    g2 = Graph(g.n, g.edges)
+    assert hashed == []  # construction does not hash
+    first = g2.sha()
+    assert g2.sha() == first == g.sha()
+    assert len(hashed) == 2  # once for g2, once for g
 
 
 def test_dist_triangle(triangle):

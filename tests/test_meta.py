@@ -1,15 +1,21 @@
+import gc
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ftspanner import meta
+from ftspanner.congest import simulate_distributed_spanner
+from ftspanner.detkit import build_ft_spanner_det
 from ftspanner.graphs import Graph, Path, generate
 from ftspanner.meta import (FanEntry, PhaseRecord, build_fan, build_ft_spanner,
                             center_ratio, check_invariants, choose_cluster,
-                            le_edge_ids, sample_fan_paths, shortcut)
+                            le_edge_ids, random_steps, run_phases,
+                            sample_fan_paths, shortcut)
 from ftspanner.parmis import PathConflictInstance, lex_first_mis
-from ftspanner.rng import substream
+from ftspanner.rng import substream, vertex_stream
 from ftspanner.verify import verify_spanner
 
 
@@ -435,3 +441,176 @@ def test_zero_edge_graph():
     g = generate("gnp", n=4, p=0.0, seed=0)
     res = build_ft_spanner(g, 1, 2, seed=0)
     assert res.edge_count == 0
+
+
+# --- the conflict-free fan skips the MIS ------------------------------------
+
+def _mis_counter(monkeypatch, tag=lambda: None):
+    """List that gets tag() appended on every round-MIS call of build_fan."""
+    calls = []
+    real = meta.parallel_greedy_mis
+
+    def counted(inst):
+        calls.append(tag())
+        return real(inst)
+
+    monkeypatch.setattr(meta, "parallel_greedy_mis", counted)
+    return calls
+
+
+def _fan_instance(sample_verts):
+    """Owner 0 of a weighted K9 with inherited path (0,), and per neighbor
+    u one sample list of the given paths ending at u."""
+    g = generate("complete", n=9, seed=3, weights=(1, 30))
+    inc_v = [t for t in g.adj[0] if t[2] in sample_verts]
+    samples = {}
+    for u, paths in sample_verts.items():
+        samples[u] = []
+        for verts in paths:
+            p = Path.trivial(verts[0])
+            for a, b in zip(verts, verts[1:]):
+                eid = g.edge_id(a, b)
+                p = p.extend(b, eid, g.key(eid))
+            samples[u].append(p)
+    return (Path.trivial(0),), inc_v, samples
+
+
+def _check_against_eager(inst, pi_seed):
+    q_v, inc_v, samples = inst
+    pi_rng = substream(pi_seed, "pi")
+    before = pi_rng.getstate()
+    got = build_fan(0, q_v, inc_v, samples, "mod", "parallel", pi_rng)
+    drew = pi_rng.getstate() != before
+    want = _eager_build_fan(0, q_v, inc_v, samples, "mod", "parallel",
+                            substream(pi_seed, "pi"))
+    assert [(e.src, e.sample_idx, _full(e.path), _full(e.orig)) for e in got] \
+        == [(src, si, _full(path), _full(orig)) for path, orig, src, si in want]
+    return got, drew
+
+
+def test_conflict_free_fan_skips_the_mis(monkeypatch):
+    calls = _mis_counter(monkeypatch)
+    # multi-hop samples whose vertex sets are pairwise disjoint
+    inst = _fan_instance({1: [(5, 1)], 2: [(6, 7, 2)], 3: [(3,)], 4: [(8, 4)]})
+    got, drew = _check_against_eager(inst, 11)
+    assert len(got) == 5
+    assert calls == [] and not drew
+
+
+def test_one_conflict_runs_the_mis(monkeypatch):
+    calls = _mis_counter(monkeypatch)
+    # the samples of 1 and 2 share vertex 5
+    inst = _fan_instance({1: [(5, 1)], 2: [(5, 2)], 3: [(3,)], 4: [(8, 4)]})
+    got, drew = _check_against_eager(inst, 11)
+    assert len(got) == 4
+    assert len(calls) == 1 and drew
+
+
+def test_mis_runs_only_where_candidates_conflict(monkeypatch):
+    phase = [0]
+    calls = _mis_counter(monkeypatch, lambda: phase[0])
+    g = generate("complete", n=40, seed=1, weights=(1, 1000))
+    sample_fn, centers_fn = random_steps(g.n, 1, 3, 1, 4)
+
+    def pi_rng_fn(i, v):
+        phase[0] = i
+        return vertex_stream(1, "pi", i, v)
+
+    _, trace, _, _ = run_phases(g, 1, 3, sample_fn=sample_fn, centers_fn=centers_fn,
+                                variant="mod", c_k=1, mis="parallel",
+                                pi_rng_fn=pi_rng_fn)
+    assert trace[0].clustered == g.n and trace[1].clustered > 0
+    assert calls.count(1) == 0  # phase 1: every sample is one neighbor
+    assert calls.count(2) > 0
+
+
+# --- the phase loop runs with the cyclic collector paused -------------------
+
+CLUSTERING_BUILDS = {
+    "meta-seq": lambda g: build_ft_spanner(g, 1, 3, seed=1, c_k=1),
+    "meta-mod-parallel": lambda g: build_ft_spanner(
+        g, 1, 3, seed=1, variant="mod", mis="parallel", c_k=1),
+    "meta-det": lambda g: build_ft_spanner_det(g, 1, 3, c_k=1),
+    "simulate": lambda g: simulate_distributed_spanner(g, 1, 3, seed=1, c_k=1)[0],
+}
+
+
+@pytest.fixture(scope="module")
+def k100():
+    return generate("complete", n=100, seed=1, weights=(1, 1000))
+
+
+@pytest.mark.parametrize("name", sorted(CLUSTERING_BUILDS))
+def test_builds_make_no_reference_cycles(k100, name):
+    gc.collect()
+    gc.disable()
+    try:
+        res = CLUSTERING_BUILDS[name](k100)
+        assert res.trace[0].clustered > 0 and res.edge_count < k100.m
+        del res
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name", sorted(CLUSTERING_BUILDS))
+def test_collector_is_off_inside_and_restored_after(k100, name, monkeypatch):
+    seen = []
+    real = meta.choose_cluster
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        return real(*args)
+
+    monkeypatch.setattr(meta, "choose_cluster", spy)
+    assert gc.isenabled()
+    CLUSTERING_BUILDS[name](k100)
+    assert seen and not any(seen)
+    assert gc.isenabled()
+
+
+def test_collector_restored_after_an_error(k100):
+    sample_fn, centers_fn = random_steps(k100.n, 1, 1, 1, 4)
+    with pytest.raises(ValueError, match="k >= 2"):
+        run_phases(k100, 1, 1, sample_fn=sample_fn, centers_fn=centers_fn)
+    assert gc.isenabled()
+
+
+def test_collector_left_off_when_the_caller_had_it_off(k100):
+    gc.disable()
+    try:
+        build_ft_spanner(k100, 1, 3, seed=1, c_k=1)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_no_collection_starts_in_the_phase_loop(k100):
+    """Collections that start while the phase loop is on the stack; the
+    one that usually follows the return, on the caller's next allocation,
+    is not counted. The loop run without the pause is the control."""
+    sample_fn, centers_fn = random_steps(k100.n, 1, 3, 1, 4)
+    loop_code = run_phases.__wrapped__.__code__
+    started = []
+
+    def on_gc(phase, info):
+        if phase == "start":
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not loop_code:
+                frame = frame.f_back
+            started.append(frame is not None)
+
+    counts = {}
+    gc.callbacks.append(on_gc)
+    try:
+        for name, fn in (("paused", run_phases), ("control", run_phases.__wrapped__)):
+            gc.collect()
+            started.clear()
+            spanner, *_ = fn(k100, 1, 3, sample_fn=sample_fn,
+                             centers_fn=centers_fn, c_k=1)
+            assert len(spanner) < k100.m
+            counts[name] = started.count(True)
+    finally:
+        gc.callbacks.remove(on_gc)
+    assert counts["paused"] == 0
+    assert counts["control"] > 0
