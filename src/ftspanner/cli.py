@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: gen, build, verify, certificate, simulate, mis-bench,
-hitting-set, bench, report. JSON is the machine interface (canonically
+hitting-set, report. JSON is the machine interface (canonically
 ordered, timings excluded); TSV is emitted only for plotting tables.
 Exit codes: 0 success/pass, 1 verification failure, 2 usage error.
 """
@@ -11,10 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
-import statistics
 import sys
-import time
+from itertools import chain
 from pathlib import Path as FsPath
 
 from ftspanner.congest import BandwidthExceeded, simulate_distributed_spanner
@@ -184,6 +182,16 @@ def cmd_hitting_set(args) -> int:
             and all(isinstance(s, list) for s in spec["sets"])):
         raise ValueError("a hitting-set instance must be a JSON object whose"
                          " 'ground' is a list and whose 'sets' is a list of lists")
+    elems = list(chain(spec["ground"], *spec["sets"]))
+    # one kind only: the chosen set is printed sorted
+    if not (all(isinstance(x, (int, float)) for x in elems)
+            or all(isinstance(x, str) for x in elems)):
+        raise ValueError("hitting-set 'ground' and 'sets' elements must be"
+                         " all numbers or all strings")
+    for name in ("delta", "beta", "c"):
+        value = spec.get(name, 1)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"hitting-set {name!r} must be a number, got {value!r}")
     inst = HittingInstance(
         ground=tuple(spec["ground"]),
         sets=tuple(tuple(s) for s in spec["sets"]),
@@ -196,65 +204,6 @@ def cmd_hitting_set(args) -> int:
                        "size": len(chosen),
                        "bound": len(inst.ground) / inst.delta},
                       sort_keys=True) + "\n", args.out)
-    return 0
-
-
-def _bench_cell(genspec: dict, algo: str, f: int, k: int, seed, c_k: int = 20) -> dict:
-    g = generate(**genspec, seed=1000 + seed)
-    t0 = time.perf_counter()
-    if algo == "meta-det":
-        res = build_ft_spanner_det(g, f, k, c_k=c_k)
-    elif algo == "warmup":
-        res = build_3spanner(g, f, seed=seed)
-    else:
-        res = build_ft_spanner(g, f, k, seed=seed, c_k=c_k)
-    dt = time.perf_counter() - t0
-    return {"n": g.n, "m": g.m, "f": f, "k": k, "algo": algo,
-            "edges": res.edge_count, "seconds": dt, "seed": seed}
-
-
-def bench_rows(suite: str, n: int, m: int, k: int, f_values, seeds,
-               algo: str = "meta", c_k: int = 20) -> list[dict]:
-    """Timing cells for the stock sweeps; one median row per (f, k, m)."""
-    rows = []
-    if suite == "m-sweep":
-        cells = [(n, m_i, 2, k) for m_i in (m, 2 * m, 4 * m)]
-    else:
-        cells = [(n, m, f, k) for f in f_values]
-    threads = int(os.environ.get("FTSPANNER_THREADS", "1"))
-    for cn, cm, cf, ck in cells:
-        p = min(1.0, 2 * cm / (cn * (cn - 1)))
-        genspec = {"kind": "gnp", "n": cn, "p": p}
-        runs = [(genspec, algo, cf, ck, s, c_k) for s in seeds]
-        if threads > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                outs = list(pool.map(_bench_cell_star, runs))
-        else:
-            outs = [_bench_cell(*r) for r in runs]
-        med = statistics.median(o["seconds"] for o in outs)
-        rows.append({"n": cn, "m": outs[0]["m"], "f": cf, "k": ck,
-                     "algo": algo, "edges": outs[0]["edges"],
-                     "seconds": med, "seeds": len(seeds)})
-    return rows
-
-
-def _bench_cell_star(args):
-    return _bench_cell(*args)
-
-
-def cmd_bench(args) -> int:
-    seeds = list(range(args.seeds))
-    algo = "meta-det" if args.suite == "det-f-sweep" else "meta"
-    rows = bench_rows(args.suite, args.n, args.m, args.k,
-                      [int(x) for x in args.f.split(",")], seeds, algo,
-                      c_k=args.ck)
-    lines = ["n\tm\tf\tk\talgo\tedges\tseconds"]
-    for r in rows:
-        lines.append(f"{r['n']}\t{r['m']}\t{r['f']}\t{r['k']}\t{r['algo']}"
-                     f"\t{r['edges']}\t{r['seconds']:.4f}")
-    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -357,18 +306,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("-o", "--out")
     p.set_defaults(fn=cmd_hitting_set)
-
-    p = sub.add_parser("bench", help="timing sweeps")
-    p.add_argument("--suite", required=True,
-                   choices=["f-sweep", "m-sweep", "det-f-sweep"])
-    p.add_argument("--n", type=int, default=5000)
-    p.add_argument("--m", type=int, default=100000)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--f", default="1,2,4,8")
-    p.add_argument("--ck", type=int, default=20)
-    p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("-o", "--out")
-    p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("report", help="summarize a stored result")
     p.add_argument("--result", required=True)

@@ -37,7 +37,7 @@ from itertools import repeat
 from operator import itemgetter
 
 from ftspanner.graphs import Graph
-from ftspanner.meta import random_steps, run_phases
+from ftspanner.meta import check_params, random_steps, run_phases
 from ftspanner.result import SpannerResult, meta_size_bound
 # Unused here; the traced benchmark (perfbench/layers.py) patches these
 # names on this module, so they stay importable from it.
@@ -341,6 +341,7 @@ def simulate_distributed_spanner(g: Graph, f: int, k: int, seed=0,
     edge because both run the same driver and the same local steps, and
     draw from the same per-vertex streams.
     """
+    check_params(g.n, f, k, c_k)
     net = Network(g, c_b=c_b, record_messages=record_messages)
     sample_fn, centers_fn = random_steps(g.n, f, k, seed, c_s)
     spanner, trace, _, _ = run_phases(g, f, k, sample_fn=sample_fn,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from ftspanner.graphs import Graph
-from ftspanner.meta import run_phases
+from ftspanner.meta import check_params, run_phases
 from ftspanner.result import SpannerResult, meta_size_bound
 
 
@@ -123,6 +123,7 @@ def build_ft_spanner_det(g: Graph, f: int, k: int, c_k: int = 20,
     """Fully deterministic build: full neighbor path lists instead of
     samples, centers from a beta-hitting set over qualifying fans."""
     n = g.n
+    check_params(n, f, k, c_k)
     k_f = c_k * k * f
     delta = (n / f) ** (1 / k)
     threshold = det_cluster_threshold(n, f, k, k_f)

@@ -272,6 +272,17 @@ def _collector_paused(fn):
     return paused
 
 
+def check_params(n: int, f: int, k: int, c_k: int):
+    """Raise ValueError unless 1 <= f < n, k >= 2 and c_k >= 1. The builders
+    call it before they compute anything from f / n or 1 / k."""
+    if not (1 <= f < n):
+        raise ValueError(f"need 1 <= f < n, got f={f}, n={n}")
+    if k < 2:
+        raise ValueError(f"need k >= 2, got k={k}")
+    if c_k < 1:
+        raise ValueError(f"need c_k >= 1, got c_k={c_k}")
+
+
 @_collector_paused
 def run_phases(g: Graph, f: int, k: int, *, sample_fn, centers_fn,
                variant: str = "seq", c_k: int = 20, mis: str = "greedy",
@@ -296,12 +307,7 @@ def run_phases(g: Graph, f: int, k: int, *, sample_fn, centers_fn,
     restored after a normal return, after an error and when it was off.
     """
     n = g.n
-    if not (1 <= f < n):
-        raise ValueError(f"need 1 <= f < n, got f={f}, n={n}")
-    if k < 2:
-        raise ValueError(f"need k >= 2, got k={k}")
-    if c_k < 1:
-        raise ValueError(f"need c_k >= 1, got c_k={c_k}")
+    check_params(n, f, k, c_k)
     if transport is None:
         transport = LocalExchange()
     k_f = c_k * k * f
@@ -415,6 +421,9 @@ def build_ft_spanner(g: Graph, f: int, k: int, seed=0, variant: str = "seq",
     variant "mod" scans all sampled paths in one fixed order (or under a
     random permutation when mis="parallel")."""
     n = g.n
+    check_params(n, f, k, c_k)
+    if mis == "parallel" and variant != "mod":
+        raise ValueError(f"need variant 'mod' for mis='parallel', got {variant!r}")
     sample_fn, centers_fn = random_steps(n, f, k, seed, c_s)
 
     pi_rng_fn = None

@@ -70,10 +70,17 @@ class SpannerResult:
     def from_dict(cls, d) -> "SpannerResult":
         if not isinstance(d, dict):
             raise ValueError(f"a result must be a JSON object, got {type(d).__name__}")
+        edges, traces = d["edges"], d.get("trace", [])
+        if not (isinstance(edges, list)
+                and all(type(e) is int for e in edges)):
+            raise ValueError("a result's 'edges' must be a list of integers")
+        if not (isinstance(traces, list)
+                and all(isinstance(t, dict) for t in traces)):
+            raise ValueError("a result's 'trace' must be a list of objects")
         trace = [
             PhaseTrace(t["phase"], t["centers"], t["clustered"], t["new_edges"],
                        t["remaining"], t.get("seconds", 0.0))
-            for t in d.get("trace", [])
+            for t in traces
         ]
         return cls(
             algo=d["algo"],
@@ -81,7 +88,7 @@ class SpannerResult:
             m=d["m"],
             graph_sha=d["graph_sha"],
             params=d.get("params", {}),
-            edges=tuple(d["edges"]),
+            edges=tuple(edges),
             trace=trace,
             extras=d.get("extras", {}),
         )

@@ -1,9 +1,11 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from ftspanner import graphs
-from ftspanner.cli import main
+from ftspanner.cli import main, make_parser
 from ftspanner.graphs import load_graph
 from ftspanner.result import SpannerResult
 
@@ -106,6 +108,25 @@ def test_build_deterministic_files(tmp_path):
         run("build", "--graph", g, "--algo", algo, "--f", 1, "--k", 2,
             "--seed", 4, "-o", r2)
         assert r1.read_bytes() == r2.read_bytes(), algo
+
+
+@pytest.mark.parametrize("argv, need", [
+    (("build", "--graph", "EMPTY", "--f", 1), "need 1 <= f < n"),
+    (("build", "--graph", "EMPTY", "--f", 1, "--algo", "meta-det"), "need 1 <= f < n"),
+    (("simulate", "--graph", "EMPTY", "--f", 1), "need 1 <= f < n"),
+    (("build", "--graph", "G", "--f", 1, "--k", 0), "need k >= 2"),
+    (("build", "--graph", "G", "--f", 1, "--k", 0, "--algo", "meta-det"), "need k >= 2"),
+    (("simulate", "--graph", "G", "--f", 1, "--k", 0), "need k >= 2"),
+    (("build", "--graph", "G", "--f", 1, "--mis", "parallel"), "need variant 'mod'"),
+], ids=["empty-meta", "empty-meta-det", "empty-simulate", "k0-meta", "k0-meta-det",
+        "k0-simulate", "parallel-mis-seq"])
+def test_bad_build_parameters_exit_2(tmp_path, capsys, argv, need):
+    files = {"EMPTY": tmp_path / "empty.txt", "G": tmp_path / "g.txt"}
+    files["EMPTY"].write_text("")
+    run("gen", "--kind", "cycle", "--n", 6, "-o", files["G"])
+    capsys.readouterr()
+    assert run(*(files.get(a, a) for a in argv)) == 2
+    assert need in capsys.readouterr().err
 
 
 def test_warmup_requires_k2(tmp_path):
@@ -246,18 +267,29 @@ _INSTANCE = {"ground": list(range(4)), "sets": [[0, 1]], "delta": 1.0}
     (("hitting-set", "--instance", "DIR"), None, _INSTANCE),
     (("report", "--result", "R"), "[1, 2]", _INSTANCE),
     (("verify", "--graph", "G", "--result", "R"), "[1, 2]", _INSTANCE),
+    (("verify", "--graph", "G", "--result", "R"), {"edges": 5}, _INSTANCE),
+    (("report", "--result", "R"), {"trace": [1]}, _INSTANCE),
     (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "ground": 5}),
     (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "sets": [0, 1]}),
     (("hitting-set", "--instance", "INST"), None, [_INSTANCE]),
+    (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "delta": [1]}),
+    (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "ground": [[0], 1]}),
+    (("hitting-set", "--instance", "INST"), None,
+     {**_INSTANCE, "ground": [0, "a"], "sets": [[0, "a"]]}),
 ], ids=["graph-is-directory", "result-is-directory", "instance-is-directory",
         "report-result-not-object", "verify-result-not-object",
+        "verify-edges-not-list", "report-trace-not-objects",
         "instance-ground-not-list", "instance-sets-not-lists",
-        "instance-not-object"])
+        "instance-not-object", "instance-delta-not-number",
+        "instance-ground-not-scalars", "instance-ground-mixed-kinds"])
 def test_bad_input_files_exit_2(tmp_path, capsys, argv, result_text, spec):
+    """result_text replaces the built result file; a dict replaces fields of it."""
     files = {"DIR": tmp_path, "G": tmp_path / "g.txt", "R": tmp_path / "r.json",
              "INST": tmp_path / "inst.json"}
     run("gen", "--kind", "cycle", "--n", 6, "-o", files["G"])
     run("build", "--graph", files["G"], "--f", 1, "--k", 2, "-o", files["R"])
+    if isinstance(result_text, dict):
+        result_text = json.dumps({**json.loads(files["R"].read_text()), **result_text})
     if result_text is not None:
         files["R"].write_text(result_text)
     files["INST"].write_text(json.dumps(spec))
@@ -286,12 +318,14 @@ def test_mis_bench_tsv(tmp_path):
     assert all(line.split("\t")[-1] == "1" for line in lines[1:])
 
 
-def test_bench_small(tmp_path):
-    out = tmp_path / "b.tsv"
-    assert run("bench", "--suite", "f-sweep", "--n", 60, "--m", 300, "--k", 2,
-               "--f", "1,2", "--seeds", 2, "-o", out) == 0
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 3
+def test_readme_cli_block_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("ftspanner ")]
+    assert len(lines) >= 9
+    parser = make_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def test_usage_error_exit_2(tmp_path):
