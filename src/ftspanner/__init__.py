@@ -2,8 +2,9 @@
 
 Construction paths: a warm-up 3-spanner, the k-phase clustering spanner
 (sequential and modified variants), a deterministic hitting-set variant,
-and a simulated synchronous message-passing run. A brute-force verifier
-checks the fault-tolerant stretch guarantee exhaustively on small inputs.
+and a simulated synchronous message-passing run. An exact verifier
+checks the fault-tolerant stretch guarantee against every fault set of
+at most f vertices.
 """
 
 from ftspanner.graphs import Graph, Path, dist, generate, load_graph

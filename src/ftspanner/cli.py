@@ -98,7 +98,7 @@ def cmd_verify(args) -> int:
             print(f"error: the result file has no params.{name}; pass --{name}",
                   file=sys.stderr)
             return 2
-    report = verify_spanner(g, res.edges, f, k, mode=args.mode, seed=args.seed)
+    report = verify_spanner(g, res.edges, f, k)
     _write(report.to_json(), args.out)
     print(("PASS" if report.passed else "FAIL")
           + f" mode={report.mode} edges={len(res.edges)}/{g.m}"
@@ -267,8 +267,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--result", required=True)
     p.add_argument("--f", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--mode", default="exhaustive")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out")
     p.set_defaults(fn=cmd_verify)
 

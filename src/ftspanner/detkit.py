@@ -44,6 +44,9 @@ class HittingInstance:
         return self.c * self.beta * self.delta * max(1, math.ceil(math.log(max(ell, 1))))
 
     def validate(self):
+        for name, value in (("delta", self.delta), ("c", self.c)):
+            if not math.isfinite(value):
+                raise InadmissibleInstance(f"{name} must be finite, got {value}")
         if self.delta < 1:
             raise InadmissibleInstance(f"delta must be >= 1, got {self.delta}")
         if self.beta < 1:

@@ -95,13 +95,11 @@ def run_case(case: dict, workdir: Path) -> tuple[bool, str]:
                         "--ck", case.get("ck", 20), "-o", rpath, cwd=workdir)
             if proc.returncode != 0:
                 return False, f"build failed: {proc.stderr.strip()}"
-            proc = _cli("verify", "--graph", gpath, "--result", rpath,
-                        "--mode", case.get("mode", "exhaustive"), cwd=workdir)
+            proc = _cli("verify", "--graph", gpath, "--result", rpath, cwd=workdir)
         elif kind == "verify-subgraph":
             _materialize_subgraph(gpath, case["subgraph"], rpath)
             proc = _cli("verify", "--graph", gpath, "--result", rpath,
-                        "--f", case["f"], "--k", case.get("k", 2),
-                        "--mode", case.get("mode", "exhaustive"), cwd=workdir)
+                        "--f", case["f"], "--k", case.get("k", 2), cwd=workdir)
         elif kind == "certificate":
             proc = _cli("certificate", "--graph", gpath,
                         "--lam", case["lam"], "--seed", seed, "--check",

@@ -1,4 +1,4 @@
-"""Brute-force oracles for fault-tolerant stretch and connectivity certificates.
+"""Oracles for fault-tolerant stretch (exact) and connectivity certificates.
 
 These are written against the definitions only, independent of any
 construction code, so they can gate every builder. Exhaustive protection
@@ -9,10 +9,10 @@ at most (2i-1) * w(u,v).
 Branching check: a vertex on no u-v path of length <= bound can never
 matter, so the fault sets in question are the maximum-size ones inside the
 "relevant" vertices (those with d(u,x) + d(x,v) <= bound); there are
-C(|relevant|, f) of them, and that count is what the report covers and the
-cap limits. Rather than search each one, the check branches on short
-paths: at a node F (starting from the empty set) it finds one shortest
-u-v path of length <= bound avoiding F. With none, the edge is violated;
+C(|relevant|, f) of them, and that count is what the report covers.
+Rather than search each one, the check branches on short paths: at a
+node F (starting from the empty set) it finds one shortest u-v path of
+length <= bound avoiding F. With none, the edge is violated;
 otherwise, if |F| < f, it branches on F plus each interior vertex of that
 path. The tree is exact. Every node F is a subset of some maximum-size
 fault set, and faulting never shortens a distance, so no node exceeds the
@@ -23,6 +23,13 @@ child that is still a subset of F*. So the tree's worst distance is the
 enumeration's. An edge found violated is then enumerated literally, so the
 report lists every violating fault set. Both checks are cross-checked in
 the tests against a definition-unrolled scan.
+
+Cap: the cap limits path searches, one per _dist_avoid call made for an
+edge: the branch searches, the literal enumeration of a violated edge,
+and the unbounded distance a violation reports. The shared maps below
+are not charged. Each search is charged before it is made, so a
+verification that would need more than cap searches raises
+BudgetExceeded at the first search beyond it, even inside one edge.
 
 Shared maps: the relevant set and the root path come from capped
 single-source maps (distances and parents) of u and of v. verify_spanner
@@ -61,8 +68,21 @@ DEFAULT_CAP = 10_000_000
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when exhaustive enumeration would exceed the fault-set cap;
-    callers should fall back to sampled mode."""
+    """Raised when a check would make more path searches than its cap."""
+
+
+class _Budget:
+    """Path searches left under a cap, charged one at a time before each
+    search is made."""
+
+    def __init__(self, cap):
+        self.cap = cap
+        self.left = cap
+
+    def charge(self):
+        if self.left <= 0:
+            raise BudgetExceeded(f"the check needs more than {self.cap} path searches")
+        self.left -= 1
 
 
 def _subgraph_adj(g: Graph, edge_ids) -> list[list[tuple[int, int]]]:
@@ -175,12 +195,12 @@ def _relevant(mu, mv, u, v, bound):
     return du[v], relevant, _interior(parent, u, v)
 
 
-def _branch(adj, u, v, w, bound, k_eff, base, interior, goal):
+def _branch(adj, u, v, w, bound, k_eff, base, interior, goal, budget):
     """The branching check, from a shortest u-v path of length base <= bound
     and the given interior: each fault set of up to k_eff vertices is
     extended by each interior vertex of its own short path, found by A*
-    toward v with goal = v's fault-free distances. Returns (ok, worst_ratio);
-    worst_ratio is INF if not ok."""
+    toward v with goal = v's fault-free distances. Each search is charged
+    to budget. Returns (ok, worst_ratio); worst_ratio is INF if not ok."""
     worst = base
     seen = set()
     stack = [(frozenset(), interior)] if k_eff else []
@@ -191,6 +211,7 @@ def _branch(adj, u, v, w, bound, k_eff, base, interior, goal):
             if child in seen:
                 continue
             seen.add(child)
+            budget.charge()
             d, sub = _dist_avoid(adj, u, v, child, bound, goal)
             if d > bound:
                 return False, INF
@@ -200,16 +221,19 @@ def _branch(adj, u, v, w, bound, k_eff, base, interior, goal):
     return True, worst / w
 
 
-def _enumerate(adj, u, v, w, bound, base, relevant, k_eff):
-    """The literal scan: one search per k_eff-subset of relevant.
+def _enumerate(adj, u, v, w, bound, base, relevant, k_eff, budget):
+    """The literal scan: one search per k_eff-subset of relevant, and one
+    more per violation for its unbounded distance, each charged to budget.
     Returns (ok, worst_ratio, violations)."""
     worst = base / w
     ok = True
     violations = []
     for fault in combinations(relevant, k_eff):
         dead = frozenset(fault)
+        budget.charge()
         d, _ = _dist_avoid(adj, u, v, dead, bound)
         if d > bound:
+            budget.charge()
             actual, _ = _dist_avoid(adj, u, v, dead)
             ok = False
             violations.append((fault, actual, bound))
@@ -219,27 +243,26 @@ def _enumerate(adj, u, v, w, bound, base, relevant, k_eff):
     return ok, worst, violations
 
 
-def _protection_scan(adj, mu, mv, u, v, w, f, i, cap, collect):
+def _protection_scan(adj, mu, mv, u, v, w, f, i, budget, collect):
     """Decide protection of (u,v) from the capped maps mu, mv of u and v,
-    each taken at a cutoff >= (2i-1)w. Returns (ok, worst_ratio,
-    violations, fault_sets covered); violations are collected only if
-    collect."""
+    each taken at a cutoff >= (2i-1)w, charging each path search to
+    budget. Returns (ok, worst_ratio, violations, fault_sets covered);
+    violations are collected only if collect."""
     bound = (2 * i - 1) * w
     base, relevant, interior = _relevant(mu, mv, u, v, bound)
     if base > bound:
+        budget.charge()
         actual, _ = _dist_avoid(adj, u, v, frozenset())
         return False, (actual / w if actual < INF else INF), [((), actual, bound)], 1
     k_eff = min(f, len(relevant))
     if k_eff == 0:
         return True, base / w, [], 1
     todo = comb(len(relevant), k_eff)
-    if todo > cap:
-        raise BudgetExceeded(
-            f"{todo} fault sets exceed the cap of {cap}; use sampled mode")
-    ok, worst = _branch(adj, u, v, w, bound, k_eff, base, interior, mv[0])
+    ok, worst = _branch(adj, u, v, w, bound, k_eff, base, interior, mv[0], budget)
     if ok or not collect:
         return ok, worst, [], todo
-    ok, worst, violations = _enumerate(adj, u, v, w, bound, base, relevant, k_eff)
+    ok, worst, violations = _enumerate(adj, u, v, w, bound, base, relevant, k_eff,
+                                       budget)
     return ok, worst, violations, todo
 
 
@@ -259,13 +282,13 @@ def is_protected(h: Graph, u: int, v: int, w: int, f: int, i: int,
     adj = _subgraph_adj(h, range(h.m))
     bound = (2 * i - 1) * w
     ok, _, _, _ = _protection_scan(adj, _sssp_upto(adj, u, bound), _sssp_upto(adj, v, bound),
-                                   u, v, w, f, i, cap, collect=False)
+                                   u, v, w, f, i, _Budget(cap), collect=False)
     return ok
 
 
 @dataclass
 class VerificationReport:
-    mode: str
+    mode = "exhaustive"  # the check is always exhaustive; the report JSON names it
     f: int
     k: int
     passed: bool = True
@@ -298,103 +321,49 @@ class VerificationReport:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def verify_spanner(g: Graph, h, f: int, k: int, mode: str = "exhaustive",
-                   seed=0, cap: int = DEFAULT_CAP) -> VerificationReport:
+def verify_spanner(g: Graph, h, f: int, k: int,
+                   cap: int = DEFAULT_CAP) -> VerificationReport:
     """Check the fault-tolerant stretch guarantee of h against g.
 
-    Exhaustive mode checks per-edge protection for every edge of g, which
-    is sufficient for the spanner property: a shortest path in g minus F
-    is a concatenation of protected edges. Sampled mode ("sampled:N")
-    draws N fault sets per edge and N random (u, v, F) triples compared
-    against (2k-1) times the distance in g minus F.
+    Checks per-edge protection for every edge of g, which is sufficient
+    for the spanner property: a shortest path in g minus F is a
+    concatenation of protected edges. Raises BudgetExceeded at the path
+    search that would exceed cap.
     """
     _check_params(f, k)
-    if mode != "exhaustive":
-        kind, _, count = mode.partition(":")
-        if kind != "sampled":
-            raise ValueError(f"unknown mode {mode!r}")
-        n_samples = int(count) if count else 64
-        if n_samples < 1:
-            raise ValueError(f"need N >= 1 in sampled:N, got {mode!r}")
     h_ids = _normalize_subgraph(g, h)
     h_adj = _subgraph_adj(g, h_ids)
-    report = VerificationReport(mode=mode, f=f, k=k)
-    budget = cap
-
-    if mode == "exhaustive":
-        # One capped map per vertex with a dropped edge, at the largest bound
-        # over those edges, freed after the last of them.
-        cutoff, last, maps = {}, {}, {}
-        for eid, (u, v, w) in enumerate(g.edges):
-            if eid not in h_ids:
-                for x in (u, v):
-                    cutoff[x] = max(cutoff.get(x, 0), (2 * k - 1) * w)
-                    last[x] = eid
-        for eid, (u, v, w) in enumerate(g.edges):
-            report.edges_checked += 1
-            if eid in h_ids:
-                report.per_edge[eid] = 1.0
-                report.worst_stretch = max(report.worst_stretch, 1.0)
-                continue
+    report = VerificationReport(f=f, k=k)
+    budget = _Budget(cap)
+    # One capped map per vertex with a dropped edge, at the largest bound
+    # over those edges, freed after the last of them.
+    cutoff, last, maps = {}, {}, {}
+    for eid, (u, v, w) in enumerate(g.edges):
+        if eid not in h_ids:
             for x in (u, v):
-                if x not in maps:
-                    maps[x] = _sssp_upto(h_adj, x, cutoff[x])
-            ok, worst, viols, used = _protection_scan(
-                h_adj, maps[u], maps[v], u, v, w, f, k, budget, collect=True)
-            for x in (u, v):
-                if last[x] == eid:
-                    del maps[x]
-            budget -= used
-            if budget < 0:
-                raise BudgetExceeded("fault-set cap exhausted; use sampled mode")
-            report.fault_sets += used
-            report.per_edge[eid] = worst
-            report.worst_stretch = max(report.worst_stretch, worst)
-            if not ok:
-                report.passed = False
-                for fault, d, bnd in viols:
-                    report.violations.append(((u, v), tuple(fault), d, bnd))
-        return report
-
-    rng = substream(seed, "verify", n_samples)
-    g_adj = _subgraph_adj(g, range(g.m))
-    others = list(range(g.n))
+                cutoff[x] = max(cutoff.get(x, 0), (2 * k - 1) * w)
+                last[x] = eid
     for eid, (u, v, w) in enumerate(g.edges):
         report.edges_checked += 1
         if eid in h_ids:
             report.per_edge[eid] = 1.0
+            report.worst_stretch = max(report.worst_stretch, 1.0)
             continue
-        bound = (2 * k - 1) * w
-        worst = 0.0
-        pool = [x for x in others if x != u and x != v]
-        size = min(f, len(pool))
-        for _ in range(n_samples):
-            fault = frozenset(rng.sample(pool, size)) if size else frozenset()
-            d, _ = _dist_avoid(h_adj, u, v, fault)
-            report.fault_sets += 1
-            worst = max(worst, d / w if d < INF else INF)
-            if d > bound:
-                report.passed = False
-                report.violations.append(((u, v), tuple(sorted(fault)), d, bound))
+        for x in (u, v):
+            if x not in maps:
+                maps[x] = _sssp_upto(h_adj, x, cutoff[x])
+        ok, worst, viols, fault_sets = _protection_scan(
+            h_adj, maps[u], maps[v], u, v, w, f, k, budget, collect=True)
+        for x in (u, v):
+            if last[x] == eid:
+                del maps[x]
+        report.fault_sets += fault_sets
         report.per_edge[eid] = worst
         report.worst_stretch = max(report.worst_stretch, worst)
-    # Random pair triples guard the per-edge reduction.
-    for _ in range(n_samples):
-        u = rng.randrange(g.n)
-        v = rng.randrange(g.n)
-        if u == v:
-            continue
-        pool = [x for x in others if x != u and x != v]
-        size = min(f, len(pool))
-        fault = frozenset(rng.sample(pool, size)) if size else frozenset()
-        dg, _ = _dist_avoid(g_adj, u, v, fault)
-        if dg == INF:
-            continue
-        dh, _ = _dist_avoid(h_adj, u, v, fault)
-        report.fault_sets += 1
-        if dh > (2 * k - 1) * dg:
+        if not ok:
             report.passed = False
-            report.violations.append(((u, v), tuple(sorted(fault)), dh, (2 * k - 1) * dg))
+            for fault, d, bnd in viols:
+                report.violations.append(((u, v), tuple(fault), d, bnd))
     return report
 
 

@@ -95,8 +95,6 @@ VERIFY_PINS = {
                            True, 1771, 0),
     "w-k30-seq-f1-k3": ("c85aa007b62a49425737fcd8bcf1c1544d3056f747f243f76b64bfbc1d41ecfd",
                         True, 2492, 0),
-    "w-k30-seq-f1-k3-sampled": ("dc354bc415473780004b6282fd2cd7391575d362c045fe508c846aece12a8919",
-                                True, 719, 0),
     "w-k22-mod-f2-k2": ("7aca5ff87e104dc318368dd328181e93c556a6b2acdfcab0545166cdbdc93736",
                         True, 1900, 0),
     "unit-k30-star-f1-k2": ("47f96e12772620731afef63799a43f9371b99f74994ba6623df059f90095dfba",
@@ -115,14 +113,13 @@ def test_golden_verify_reports():
     for g, res in ((k30, unit), (k30w, weighted), (k22w, mod)):
         assert res.edge_count < g.m  # the verifier sees dropped edges
     cases = {
-        "unit-k30-seq-f1-k2": (k30, unit.edges, 1, 2, "exhaustive"),
-        "w-k30-seq-f1-k3": (k30w, weighted.edges, 1, 3, "exhaustive"),
-        "w-k30-seq-f1-k3-sampled": (k30w, weighted.edges, 1, 3, "sampled:8"),
-        "w-k22-mod-f2-k2": (k22w, mod.edges, 2, 2, "exhaustive"),
-        "unit-k30-star-f1-k2": (k30, star, 1, 2, "exhaustive"),
+        "unit-k30-seq-f1-k2": (k30, unit.edges, 1, 2),
+        "w-k30-seq-f1-k3": (k30w, weighted.edges, 1, 3),
+        "w-k22-mod-f2-k2": (k22w, mod.edges, 2, 2),
+        "unit-k30-star-f1-k2": (k30, star, 1, 2),
     }
-    reports = {label: verify_spanner(g, h, f, k, mode=mode, seed=SEED)
-               for label, (g, h, f, k, mode) in cases.items()}
+    reports = {label: verify_spanner(g, h, f, k)
+               for label, (g, h, f, k) in cases.items()}
     for label, rep in reports.items():
         digest, passed, fault_sets, n_viol = VERIFY_PINS[label]
         assert (rep.passed, rep.fault_sets, len(rep.violations)) == \

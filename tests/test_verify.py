@@ -9,9 +9,9 @@ from ftspanner import verify
 from ftspanner.graphs import Graph, generate
 from ftspanner.meta import build_ft_spanner
 from ftspanner.rng import substream
-from ftspanner.verify import (BudgetExceeded, _branch, _dist_avoid, _enumerate,
-                              _relevant, _sssp_upto, _subgraph_adj, is_protected,
-                              verify_certificate, verify_spanner)
+from ftspanner.verify import (DEFAULT_CAP, BudgetExceeded, _branch, _Budget, _dist_avoid,
+                              _enumerate, _relevant, _sssp_upto, _subgraph_adj,
+                              is_protected, verify_certificate, verify_spanner)
 
 INF = math.inf
 
@@ -116,10 +116,11 @@ def test_branching_matches_enumeration():
             mv = _sssp_upto(adj, v, bound)
             base, relevant, interior = _relevant(_sssp_upto(adj, u, bound), mv, u, v, bound)
             k_eff = min(f, len(relevant))
-            ok, worst = (_branch(adj, u, v, w, bound, k_eff, base, interior, mv[0])
+            ok, worst = (_branch(adj, u, v, w, bound, k_eff, base, interior, mv[0],
+                                 _Budget(DEFAULT_CAP))
                          if base <= bound else (False, INF))
             ok_enum, worst_enum, violations = _enumerate(
-                adj, u, v, w, bound, base, relevant, k_eff)
+                adj, u, v, w, bound, base, relevant, k_eff, _Budget(DEFAULT_CAP))
             assert ok == ok_enum and ok == (not violations)
             if ok:
                 assert worst == worst_enum
@@ -233,19 +234,16 @@ def test_exhaustive_check_at_clustering_scale():
     assert g.edges[lightest][:2] in {edge for edge, _, _, _ in rep.violations}
 
 
-@pytest.mark.parametrize("f, k, mode, value", [
-    (-1, 2, "exhaustive", "f=-1"), (1, 0, "exhaustive", "k=0"),
-    (1, -2, "sampled:4", "k=-2"), (1, 2, "sampled:0", "sampled:0"),
-    (1, 2, "sampled:-2", "sampled:-2"), (1, 2, "sampledfoo", "sampledfoo"),
+@pytest.mark.parametrize("f, k, value", [
+    (-1, 2, "f=-1"), (1, 0, "k=0"), (1, -2, "k=-2"),
 ])
-def test_bad_parameters_are_rejected(f, k, mode, value):
+def test_bad_parameters_are_rejected(f, k, value):
     c8 = generate("cycle", n=8)
     with pytest.raises(ValueError, match=value):
-        verify_spanner(c8, range(c8.m - 1), f, k, mode=mode)
-    if mode == "exhaustive":
-        u, v, w = c8.edges[-1]
-        with pytest.raises(ValueError, match=value):
-            is_protected(c8, u, v, w, f, k)
+        verify_spanner(c8, range(c8.m - 1), f, k)
+    u, v, w = c8.edges[-1]
+    with pytest.raises(ValueError, match=value):
+        is_protected(c8, u, v, w, f, k)
 
 
 def test_verify_identity_subgraph_passes(gnp30):
@@ -276,25 +274,36 @@ def test_verify_report_json_roundtrip(gnp30):
     assert data["passed"] is True and data["mode"] == "exhaustive"
 
 
-def test_verify_sampled_mode(gnp30):
-    rep = verify_spanner(gnp30, range(gnp30.m), 1, 2, mode="sampled:16", seed=5)
-    assert rep.passed
-    rep2 = verify_spanner(gnp30, range(gnp30.m), 1, 2, mode="sampled:16", seed=5)
-    assert rep.to_json() == rep2.to_json()
-
-
-def test_verify_sampled_catches_gross_violation():
-    c8 = generate("cycle", n=8)
-    h = list(range(c8.m - 1))
-    rep = verify_spanner(c8, h, 1, 2, mode="sampled:32", seed=1)
-    assert not rep.passed
-
-
 def test_budget_cap_refuses():
     g = generate("gnp", n=40, p=0.4, seed=1)
     h = []  # empty spanner: every edge needs the full enumeration
     with pytest.raises(BudgetExceeded):
         verify_spanner(g, h, 2, 2, cap=10)
+
+
+def test_budget_cap_counts_path_searches(monkeypatch):
+    # K40 meta-seq at f=2 counts 115,292 fault sets but makes only 1,802
+    # path searches. The cap charges each search before making it, so a
+    # refused verification stops after exactly cap searches.
+    g = generate("complete", n=40, seed=1, weights=(1, 1000))
+    res = build_ft_spanner(g, 2, 2, seed=1, c_k=1)
+    searches = [0]
+    real = verify._dist_avoid
+
+    def counted(*args):
+        searches[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(verify, "_dist_avoid", counted)
+    rep = verify_spanner(g, res.edges, 2, 2, cap=10_000)
+    assert rep.passed and g.m - res.edge_count == 164
+    assert rep.fault_sets == 115_292 and searches[0] == 1_802
+    assert verify_spanner(g, res.edges, 2, 2, cap=1_802).to_json() == rep.to_json()
+    for cap in (1_801, 1_000):
+        searches[0] = 0
+        with pytest.raises(BudgetExceeded, match=f"more than {cap} path searches"):
+            verify_spanner(g, res.edges, 2, 2, cap=cap)
+        assert searches[0] == cap
 
 
 def test_subgraph_must_be_subgraph(gnp30):
