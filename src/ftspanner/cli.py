@@ -192,11 +192,14 @@ def cmd_hitting_set(args) -> int:
         value = spec.get(name, 1)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"hitting-set {name!r} must be a number, got {value!r}")
+    beta = spec.get("beta", 1)
+    if not (math.isfinite(beta) and beta >= 1 and beta == int(beta)):
+        raise ValueError(f"hitting-set 'beta' must be a finite positive integer, got {beta!r}")
     inst = HittingInstance(
         ground=tuple(spec["ground"]),
         sets=tuple(tuple(s) for s in spec["sets"]),
         delta=float(spec["delta"]),
-        beta=int(spec.get("beta", 1)),
+        beta=int(beta),
         c=float(spec.get("c", 1.0)),
     )
     chosen = beta_hitting_set(inst)

@@ -103,7 +103,7 @@ def run_case(case: dict, workdir: Path) -> tuple[bool, str]:
         elif kind == "certificate":
             proc = _cli("certificate", "--graph", gpath,
                         "--lam", case["lam"], "--seed", seed, "--check",
-                        "-o", rpath, cwd=workdir)
+                        "--ck", case.get("ck", 20), "-o", rpath, cwd=workdir)
         else:
             return False, f"unknown case kind {kind!r}"
         outcome = "pass" if proc.returncode == 0 else "fail"

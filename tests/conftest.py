@@ -35,6 +35,34 @@ def protected_direct(h: Graph, u: int, v: int, w: int, f: int, i: int) -> bool:
     return True
 
 
+def certificate_direct(g: Graph, h_ids, lam: int):
+    """Definition-unrolled certificate check: label the components of h
+    minus F for every fault set F of size 0..lam-1, and flag each surviving
+    g edge whose ends they part. Returns (fault sets scanned, flagged edges).
+    The verifier's Menger check is compared against it."""
+    adj = [[] for _ in range(g.n)]
+    for eid in h_ids:
+        u, v, _ = g.edges[eid]
+        adj[u].append(v)
+        adj[v].append(u)
+    scanned, flagged = 0, set()
+    for size in range(lam):
+        for dead in combinations(range(g.n), size):
+            scanned += 1
+            label = [-1 if x not in dead else -2 for x in range(g.n)]
+            for s in range(g.n):
+                if label[s] == -1:
+                    label[s], stack = s, [s]
+                    while stack:
+                        for y in adj[stack.pop()]:
+                            if label[y] == -1:
+                                label[y] = s
+                                stack.append(y)
+            flagged |= {(u, v) for u, v, _ in g.edges
+                        if label[u] >= 0 and label[v] >= 0 and label[u] != label[v]}
+    return scanned, flagged
+
+
 @pytest.fixture(scope="session")
 def triangle() -> Graph:
     return Graph(3, [(0, 1, 1), (1, 2, 2), (0, 2, 4)])

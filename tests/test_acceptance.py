@@ -15,7 +15,7 @@ from ftspanner import meta
 from ftspanner.congest import simulate_distributed_spanner
 from ftspanner.detkit import (HittingInstance, beta_hitting_set,
                              build_ft_spanner_det, det_cluster_threshold)
-from ftspanner.graphs import generate
+from ftspanner.graphs import Graph, dist, generate
 from ftspanner.meta import build_ft_spanner, check_invariants
 from ftspanner.parmis import (PathConflictInstance, lex_first_mis,
                               parallel_greedy_mis, random_permutation)
@@ -288,7 +288,22 @@ def test_acceptance_09_certificates():
     k4 = generate("complete", n=4, seed=0)
     star = [eid for eid, (u, v, _) in enumerate(k4.edges) if 0 in (u, v)]
     assert not verify_certificate(k4, star, 2).passed
-    print(f"ACCEPTANCE 9 certificates: PASS ({checked}; star control fails)")
+    # A build that drops edges (c_k=1), so the check can fail: K60 at lam=3.
+    g, lam = generate("complete", n=60, seed=0), 3
+    res = build_ft_spanner(g, lam - 1, math.ceil(math.log2(g.n)), seed=0, c_k=1)
+    assert res.edge_count < g.m
+    assert verify_certificate(g, res.edges, lam).passed
+    # Control: vertex 0 keeps only lam-1 of its H edges.
+    at0 = [e for e in res.edges if 0 in g.edges[e][:2]]
+    broken = [e for e in res.edges if e not in at0[lam - 1:]]
+    rep = verify_certificate(g, broken, lam)
+    assert not rep.passed
+    h = Graph(g.n, [g.edges[e] for e in broken])
+    for sep, (u, v) in rep.mismatches:
+        assert len(sep) < lam and dist(h, u, v, sep) == math.inf
+    print(f"ACCEPTANCE 9 certificates: PASS ({checked}; K60 c_k=1 keeps "
+          f"{res.edge_count}/{g.m}; star and stripped-vertex controls fail"
+          f" at {len(rep.mismatches)} edges)")
 
 
 def test_acceptance_10_determinism(tmp_path):

@@ -279,6 +279,8 @@ _INSTANCE = {"ground": list(range(4)), "sets": [[0, 1]], "delta": 1.0}
     (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "delta": [1]}),
     (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "delta": math.nan}),
     (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "delta": 1, "c": math.nan}),
+    (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "beta": math.inf}),
+    (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "beta": 1.7}),
     (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "ground": [[0], 1]}),
     (("hitting-set", "--instance", "INST"), None,
      {**_INSTANCE, "ground": [0, "a"], "sets": [[0, "a"]]}),
@@ -287,7 +289,8 @@ _INSTANCE = {"ground": list(range(4)), "sets": [[0, 1]], "delta": 1.0}
         "verify-edges-not-list", "report-trace-not-objects",
         "instance-ground-not-list", "instance-sets-not-lists",
         "instance-not-object", "instance-delta-not-number",
-        "instance-delta-nan", "instance-c-nan",
+        "instance-delta-nan", "instance-c-nan", "instance-beta-inf",
+        "instance-beta-fraction",
         "instance-ground-not-scalars", "instance-ground-mixed-kinds"])
 def test_bad_input_files_exit_2(tmp_path, capsys, argv, result_text, spec):
     """result_text replaces the built result file; a dict replaces fields of it."""

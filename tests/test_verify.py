@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import protected_direct, small_random_graph
+from conftest import certificate_direct, protected_direct, small_random_graph
 from ftspanner import verify
-from ftspanner.graphs import Graph, generate
+from ftspanner.graphs import Graph, dist, generate
 from ftspanner.meta import build_ft_spanner
 from ftspanner.rng import substream
 from ftspanner.verify import (DEFAULT_CAP, BudgetExceeded, _branch, _Budget, _dist_avoid,
@@ -334,8 +334,75 @@ def test_certificate_needs_all_sizes_not_just_max():
     assert any(len(fs) == 0 for fs, _ in rep.mismatches)
 
 
-def test_certificate_sampled_fallback():
-    g = generate("gnp", n=30, p=0.3, seed=2)
-    rep = verify_certificate(g, range(g.m), 3, cap=10, samples=50)
-    assert rep.mode == "sampled:50"
-    assert rep.passed
+def _assert_separators_disconnect(g, h_ids, rep):
+    """Each reported separator has fewer than lam vertices, avoids the ends
+    of its edge, and leaves them disconnected in h."""
+    h = Graph(g.n, [g.edges[e] for e in sorted(set(h_ids))])
+    for sep, (u, v) in rep.mismatches:
+        assert len(sep) < rep.lam and u not in sep and v not in sep
+        assert dist(h, u, v, sep) == INF, (sep, u, v)
+
+
+def test_certificate_matches_enumeration():
+    """The Menger check against the component-labelling enumeration on
+    random gnp subgraphs and on c_k=1 builds minus edges: same verdict and
+    fault-set count, the passing report byte for byte, every edge the
+    enumeration flags listed (and nothing else), each with a separator
+    that disconnects it."""
+    rng = substream(41, "cert-agree")
+    failing = passing_dropped = 0
+    for _ in range(300):
+        n = rng.randint(2, 14)
+        weights = rng.choice([None, (1, 9)])
+        if rng.random() < 0.5:
+            g = generate("gnp", n=n, p=rng.choice([0.3, 0.5, 0.8, 1.0]),
+                         seed=rng.randrange(10**6), weights=weights)
+            keep = rng.choice([0.5, 0.8, 0.95])
+            h = [e for e in range(g.m) if rng.random() < keep]
+        else:
+            g = generate("complete", n=max(n, 3), seed=rng.randrange(10**6), weights=weights)
+            res = build_ft_spanner(g, rng.randint(1, min(3, g.n - 1)), 2,
+                                   seed=rng.randrange(100), c_k=1)
+            h = [e for e in res.edges if rng.random() < 0.9]
+        lam = rng.randint(1, g.n)
+        rep = verify_certificate(g, h, lam)
+        scanned, flagged = certificate_direct(g, h, lam)
+        assert rep.passed == (not flagged)
+        assert rep.fault_sets == scanned
+        assert {e for _, e in rep.mismatches} == flagged
+        _assert_separators_disconnect(g, h, rep)
+        if rep.passed:
+            assert rep.to_json() == (f'{{"fault_sets":{scanned},"lambda":{lam},'
+                                     '"mismatches":[],"mode":"exhaustive","passed":true}\n')
+            passing_dropped += len(h) < g.m
+        else:
+            failing += 1
+    assert failing >= 100 and passing_dropped >= 50, (failing, passing_dropped)
+
+
+def test_certificate_counts_vertex_not_edge_disjoint_paths():
+    # bowtie: u=0 and v=6 are joined through two triangles that share the
+    # cut vertex 3, so two edge-disjoint but only one vertex-disjoint path
+    g = Graph(7, [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1),
+                  (3, 4, 1), (3, 5, 1), (4, 6, 1), (5, 6, 1), (0, 6, 1)])
+    h = range(g.m - 1)
+    rep = verify_certificate(g, h, 2)
+    assert not rep.passed and rep.mismatches == [((3,), (0, 6))]
+    assert certificate_direct(g, h, 2)[1] == {(0, 6)}
+    assert verify_certificate(g, h, 1).passed
+
+
+def test_certificate_beyond_enumeration():
+    """K80 at lam=5 (c_k=1): 1,666,981 fault sets, far past what the
+    enumeration can scan in a test, checked exactly; one vertex stripped to
+    lam-1 edges fails at separators that disconnect."""
+    g = generate("complete", n=80, seed=1, weights=(1, 1000))
+    res = build_ft_spanner(g, 4, 7, seed=0, c_k=1)
+    assert res.edge_count < g.m
+    rep = verify_certificate(g, res.edges, 5)
+    assert rep.passed and rep.fault_sets == 1_666_981
+    stripped = [e for e in res.edges if 0 not in g.edges[e][:2]]
+    stripped += [e for e in res.edges if 0 in g.edges[e][:2]][:4]
+    rep = verify_certificate(g, stripped, 5)
+    assert len(rep.mismatches) == 79 - 4
+    _assert_separators_disconnect(g, stripped, rep)
