@@ -1,5 +1,5 @@
-"""Golden outputs: every builder and the simulation on one clustering
-fixture, pinned by the sha256 of their canonical result JSON, and the
+"""Golden outputs: every builder, the warm-up and the simulation on one
+clustering fixture, pinned by the sha256 of their canonical result JSON, and the
 verifier's reports on builds that drop edges and on a failing star.
 
 A refactor that leaves these hashes alone left the output of every
@@ -17,6 +17,7 @@ from ftspanner.detkit import build_ft_spanner_det
 from ftspanner.graphs import generate
 from ftspanner.meta import build_ft_spanner
 from ftspanner.verify import verify_spanner
+from ftspanner.warmup import build_3spanner
 
 SEED = 1
 
@@ -38,6 +39,12 @@ PINS_F2_K2 = {
                  [(120, 18), (0, 0)], 4235),
     "simulate": ("a40d67ba5cfa9265617f39025dc5e0f6ba81c06c2fe0bb76d9b9fa23b1d4cf09",
                  [(120, 18), (0, 0)], 4235),
+}
+PINS_WARMUP_F1 = {
+    "warmup": ("d97601c890d2715e514c412cf6fe43a53c2fa633470cb1b8e0cd93839311b0c6",
+               [(120, 16), (0, 0)], 3287),
+    "warmup-detail": ("3f5d532aaccdfd36bb5564a474299d5b5051c9d1df034b8bff29402932b496af",
+                      [(120, 16), (0, 0)], 3287),
 }
 ROUNDS_F1_K3 = {"total_rounds": 23, "rounds_per_phase": [4, 9, 10], "max_bits": 28,
                 "messages": 212254, "bits_total": 4158952, "bandwidth": 28,
@@ -86,6 +93,17 @@ def test_golden_f2_k2(k120):
         "simulate": simulate_distributed_spanner(k120, 2, 2, seed=SEED, c_k=1)[0],
     }
     check_pins(results, PINS_F2_K2, k120.m)
+
+
+def test_golden_warmup_f1(k120):
+    results = {
+        "warmup": build_3spanner(k120, 1, seed=SEED),
+        "warmup-detail": build_3spanner(k120, 1, seed=SEED, record_detail=True),
+    }
+    check_pins(results, PINS_WARMUP_F1, k120.m)
+    # step two sees leftover edges and keeps only some of them
+    e_tilde = results["warmup"].extras["e_tilde"]
+    assert 0 < e_tilde < k120.m - results["warmup"].extras["h_prime"]
 
 
 # Verifier reports, pinned by the sha256 of their canonical JSON.
