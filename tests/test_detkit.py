@@ -34,6 +34,13 @@ def test_inadmissible_names_the_set():
         beta_hitting_set(inst)
 
 
+@pytest.mark.parametrize("beta", [0, 1.5, True])
+def test_beta_must_be_a_positive_integer(beta):
+    inst = HittingInstance(ground=(0, 1, 2, 3), sets=((0, 1),), delta=1.0, beta=beta)
+    with pytest.raises(InadmissibleInstance, match="beta"):
+        beta_hitting_set(inst)
+
+
 def _random_admissible(rng, beta):
     ell = rng.randint(2, 20)
     delta = rng.uniform(1.5, 6.0)

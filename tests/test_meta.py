@@ -14,7 +14,7 @@ from ftspanner.meta import (FanEntry, PhaseRecord, build_fan, build_ft_spanner,
                             center_ratio, check_invariants, choose_cluster,
                             le_edge_ids, random_steps, run_phases,
                             sample_fan_paths, shortcut)
-from ftspanner.parmis import PathConflictInstance, lex_first_mis
+from ftspanner.parmis import PathConflictInstance, lex_first_mis, parallel_greedy_mis
 from ftspanner.rng import substream, vertex_stream
 from ftspanner.verify import verify_spanner
 
@@ -445,19 +445,6 @@ def test_zero_edge_graph():
 
 # --- the conflict-free fan skips the MIS ------------------------------------
 
-def _mis_counter(monkeypatch, tag=lambda: None):
-    """List that gets tag() appended on every round-MIS call of build_fan."""
-    calls = []
-    real = meta.parallel_greedy_mis
-
-    def counted(inst):
-        calls.append(tag())
-        return real(inst)
-
-    monkeypatch.setattr(meta, "parallel_greedy_mis", counted)
-    return calls
-
-
 def _fan_instance(sample_verts):
     """Owner 0 of a weighted K9 with inherited path (0,), and per neighbor
     u one sample list of the given paths ending at u."""
@@ -488,40 +475,75 @@ def _check_against_eager(inst, pi_seed):
     return got, drew
 
 
-def test_conflict_free_fan_skips_the_mis(monkeypatch):
-    calls = _mis_counter(monkeypatch)
+def test_conflict_free_fan_skips_the_mis():
     # multi-hop samples whose vertex sets are pairwise disjoint
     inst = _fan_instance({1: [(5, 1)], 2: [(6, 7, 2)], 3: [(3,)], 4: [(8, 4)]})
     got, drew = _check_against_eager(inst, 11)
     assert len(got) == 5
-    assert calls == [] and not drew
+    assert not drew
 
 
-def test_one_conflict_runs_the_mis(monkeypatch):
-    calls = _mis_counter(monkeypatch)
+def test_one_conflict_runs_the_mis():
     # the samples of 1 and 2 share vertex 5
     inst = _fan_instance({1: [(5, 1)], 2: [(5, 2)], 3: [(3,)], 4: [(8, 4)]})
     got, drew = _check_against_eager(inst, 11)
     assert len(got) == 4
-    assert len(calls) == 1 and drew
+    assert drew
 
 
-def test_mis_runs_only_where_candidates_conflict(monkeypatch):
-    phase = [0]
-    calls = _mis_counter(monkeypatch, lambda: phase[0])
+def _k40_mod_parallel(pi_rng_fn):
+    """The K40 mod-parallel build (weights 1..1000, f=1, k=3, c_k=1, seed 1)
+    through run_phases, with the given permutation streams."""
     g = generate("complete", n=40, seed=1, weights=(1, 1000))
     sample_fn, centers_fn = random_steps(g.n, 1, 3, 1, 4)
-
-    def pi_rng_fn(i, v):
-        phase[0] = i
-        return vertex_stream(1, "pi", i, v)
-
     _, trace, _, _ = run_phases(g, 1, 3, sample_fn=sample_fn, centers_fn=centers_fn,
                                 variant="mod", c_k=1, mis="parallel",
                                 pi_rng_fn=pi_rng_fn)
     assert trace[0].clustered == g.n and trace[1].clustered > 0
-    assert calls.count(1) == 0  # phase 1: every sample is one neighbor
-    assert calls.count(2) > 0
+
+
+def test_mis_runs_only_where_candidates_conflict():
+    streams = []
+
+    def pi_rng_fn(i, v):
+        rng = vertex_stream(1, "pi", i, v)
+        streams.append((i, rng, rng.getstate()))
+        return rng
+
+    _k40_mod_parallel(pi_rng_fn)
+    drew = [i for i, rng, before in streams if rng.getstate() != before]
+    assert drew.count(1) == 0  # phase 1: every sample is one neighbor
+    assert drew.count(2) > 0
+
+
+def test_round_mis_takes_the_fans_of_a_real_build(monkeypatch):
+    """Every conflicting fan of a real mod-parallel build accepts exactly
+    what parmis's round MIS takes under the same permutation draw."""
+    real = meta.build_fan
+    phase_of = {}
+    rounds = []
+
+    def checked(v, q_v, inc_v, samples, variant, mis_mode, pi_rng):
+        out = real(v, q_v, inc_v, samples, variant, mis_mode, pi_rng)
+        # run_phases builds each clustered vertex's fan once per phase
+        i = phase_of[v] = phase_of.get(v, 0) + 1
+        used = set().union(*(p.vset for p in q_v))
+        alive = [(u, si, p.vset) for _, _, u in inc_v
+                 for si, p in enumerate(samples[u]) if p.vset.isdisjoint(used)]
+        vsets = [c[2] for c in alive]
+        if sum(map(len, vsets)) == len(set().union(*vsets)):
+            return out
+        order = list(range(len(alive)))
+        vertex_stream(1, "pi", i, v).shuffle(order)
+        taken, trace = parallel_greedy_mis(PathConflictInstance(tuple(vsets), tuple(order)))
+        assert {alive[t][:2] for t in taken} == \
+            {(e.src, e.sample_idx) for e in out if e.src is not None}
+        rounds.append(trace.rounds)
+        return out
+
+    monkeypatch.setattr(meta, "build_fan", checked)
+    _k40_mod_parallel(lambda i, v: vertex_stream(1, "pi", i, v))
+    assert len(rounds) >= 20 and max(rounds) >= 2
 
 
 # --- the phase loop runs with the cyclic collector paused -------------------

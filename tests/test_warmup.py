@@ -1,4 +1,7 @@
+import math
+
 from ftspanner.graphs import generate
+from ftspanner.rng import substream, vertex_stream
 from ftspanner.verify import verify_spanner
 from ftspanner.warmup import build_3spanner, warmup_size_report
 
@@ -104,3 +107,58 @@ def test_seed_reproducible():
     a = build_3spanner(g, 1, seed=5)
     b = build_3spanner(g, 1, seed=5)
     assert a.to_json() == b.to_json()
+
+
+def _list_step_two(g, seed, c_s, detail):
+    """Step two from per-edge lists of every sampled center, duplicates
+    included, on the clustering in detail. Returns (edges, accepts,
+    observed) in record_detail's form; the build is compared against it."""
+    s_of = {int(v): cs for v, cs in detail["s_of"].items()}
+    h_prime = set()
+    for v in range(g.n):
+        if v not in s_of:
+            h_prime.update(eid for _, eid, _ in g.adj[v])
+        else:
+            cap = max(g.key(g.edge_id(v, x)) for x in s_of[v])
+            h_prime.update(eid for w, eid, _ in g.adj[v] if (w, eid) <= cap)
+    n_samples = max(1, c_s * math.ceil(math.log2(max(g.n, 2))))
+    sampled = {}
+    for v in sorted(s_of):
+        rng = vertex_stream(seed, "wsample", 0, v)
+        sampled[v] = [s_of[v][rng.randrange(len(s_of[v]))] for _ in range(n_samples)]
+    e_tilde, accepts, observed = set(), {}, {}
+    for v in sorted(s_of):
+        seen = set()
+        accepts[str(v)] = 0
+        for w, eid, u in g.adj[v]:
+            if eid in h_prime:
+                continue
+            fresh = [s for s in sampled[u] if s not in seen]
+            if fresh:
+                seen.add(min(fresh))
+                e_tilde.add(eid)
+                accepts[str(v)] += 1
+        observed[str(v)] = len(seen)
+    return sorted(h_prime | e_tilde), accepts, observed
+
+
+def test_step_two_matches_list_oracle():
+    rng = substream(5, "warmup-oracle")
+    dropped = accepted = 0
+    for case in range(50):
+        n = rng.randint(8, 40)
+        weights = (1, 1000) if rng.random() < 0.5 else None
+        if rng.random() < 0.5:
+            g = generate("complete", n=n, seed=case, weights=weights)
+        else:
+            g = generate("gnp", n=n, p=rng.uniform(0.3, 0.9), seed=case, weights=weights)
+        f = rng.randint(1, 2)
+        p = rng.choice([None, 0.4, 0.7])
+        res = build_3spanner(g, f, seed=case, p_override=p, record_detail=True)
+        detail = res.extras["detail"]
+        want = _list_step_two(g, case, 4, detail)
+        assert (list(res.edges), detail["accepts"], detail["observed"]) == want, case
+        dropped += g.m - res.edge_count
+        accepted += sum(detail["accepts"].values())
+    # step two both keeps and drops leftover edges across the cases
+    assert accepted > 0 and dropped > 0
