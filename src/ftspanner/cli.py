@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: gen, build, verify, certificate, simulate, mis-bench,
-hitting-set, report. JSON is the machine interface (canonically
-ordered, timings excluded); TSV is emitted only for plotting tables.
+Subcommands: gen, build, verify, certificate, simulate, hitting-set,
+report. JSON is the machine interface (canonically ordered, timings
+excluded); TSV is emitted only for plotting tables.
 Exit codes: 0 success/pass, 1 verification failure, 2 usage error.
 """
 
@@ -19,10 +19,7 @@ from ftspanner.congest import BandwidthExceeded, simulate_distributed_spanner
 from ftspanner.detkit import HittingInstance, beta_hitting_set, build_ft_spanner_det
 from ftspanner.graphs import Graph, GraphError, ParseError, generate, load_graph
 from ftspanner.meta import build_ft_spanner
-from ftspanner.parmis import (PathConflictInstance, lex_first_mis,
-                              parallel_greedy_mis, random_permutation)
 from ftspanner.result import SpannerResult
-from ftspanner.rng import substream
 from ftspanner.verify import BudgetExceeded, verify_certificate, verify_spanner
 from ftspanner.warmup import build_3spanner, warmup_size_report
 
@@ -41,8 +38,11 @@ def _read_graph(path: str) -> Graph:
 def _parse_weights(spec: str | None):
     if spec in (None, "unit"):
         return None
-    lo, hi = spec.split(":")
-    return (int(lo), int(hi))
+    lo, _, hi = spec.partition(":")
+    try:
+        return (int(lo), int(hi))
+    except ValueError:
+        raise ValueError(f"--weights must be 'unit' or 'LO:HI', got {spec!r}") from None
 
 
 def _gen_from_args(args) -> Graph:
@@ -155,26 +155,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_mis_bench(args) -> int:
-    rng = substream(args.seed, "mis-bench")
-    lines = ["instances\tpaths\tverts\trounds\twork\tmis_size\tmatches_lex"]
-    for idx in range(args.instances):
-        n_paths = rng.randint(2, args.max_paths)
-        n_verts = rng.randint(4, args.max_verts)
-        paths = []
-        for _ in range(n_paths):
-            size = rng.randint(1, min(5, n_verts))
-            paths.append(frozenset(rng.sample(range(n_verts), size)))
-        inst = PathConflictInstance(tuple(paths),
-                                    random_permutation(n_paths, (args.seed, idx)))
-        par, tr = parallel_greedy_mis(inst)
-        lex = lex_first_mis(inst)
-        lines.append(f"{idx}\t{n_paths}\t{n_verts}\t{tr.rounds}\t{tr.work}"
-                     f"\t{len(par)}\t{int(par == lex)}")
-    _write("\n".join(lines) + "\n", args.out)
-    return 0
-
-
 def cmd_hitting_set(args) -> int:
     spec = json.loads(FsPath(args.instance).read_text())
     if not (isinstance(spec, dict) and isinstance(spec.get("ground"), list)
@@ -188,19 +168,13 @@ def cmd_hitting_set(args) -> int:
             or all(isinstance(x, str) for x in elems)):
         raise ValueError("hitting-set 'ground' and 'sets' elements must be"
                          " all numbers or all strings")
-    for name in ("delta", "beta", "c"):
-        value = spec.get(name, 1)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"hitting-set {name!r} must be a number, got {value!r}")
-    beta = spec.get("beta", 1)
-    if not (math.isfinite(beta) and beta >= 1 and beta == int(beta)):
-        raise ValueError(f"hitting-set 'beta' must be a finite positive integer, got {beta!r}")
+    # validate() checks the numbers, so they pass through as given
     inst = HittingInstance(
         ground=tuple(spec["ground"]),
         sets=tuple(tuple(s) for s in spec["sets"]),
-        delta=float(spec["delta"]),
-        beta=int(beta),
-        c=float(spec.get("c", 1.0)),
+        delta=spec["delta"],
+        beta=spec.get("beta", 1),
+        c=spec.get("c", 1.0),
     )
     chosen = beta_hitting_set(inst)
     _write(json.dumps({"hitting_set": sorted(chosen),
@@ -294,14 +268,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-log", help="write the binary message log here")
     p.add_argument("-o", "--out")
     p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("mis-bench", help="random MIS instances, rounds/work TSV")
-    p.add_argument("--instances", type=int, default=100)
-    p.add_argument("--max-paths", type=int, default=200)
-    p.add_argument("--max-verts", type=int, default=60)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--out")
-    p.set_defaults(fn=cmd_mis_bench)
 
     p = sub.add_parser("hitting-set", help="solve a JSON hitting-set instance")
     p.add_argument("--instance", required=True)

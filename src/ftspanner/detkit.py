@@ -45,6 +45,8 @@ class HittingInstance:
 
     def validate(self):
         for name, value in (("delta", self.delta), ("c", self.c)):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise InadmissibleInstance(f"{name} must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise InadmissibleInstance(f"{name} must be finite, got {value}")
         if self.delta < 1:

@@ -21,9 +21,13 @@ INF = math.inf
 # key of a single-vertex path.
 SENTINEL_KEY = (0, -1)
 
-# Largest vertex count load_graph accepts; Graph allocates one adjacency
-# list per vertex id, so one huge id would otherwise exhaust memory.
+# Largest vertex count a Graph accepts; it allocates one adjacency list
+# per vertex id, so one huge id would otherwise exhaust memory.
 MAX_VERTICES = 1_000_000
+
+# Largest edge count generate builds: over 50x the largest generated graph
+# a test or benchmark uses (gnp n=5000, about 1e5 edges).
+MAX_EDGES = 5_000_000
 
 
 class GraphError(ValueError):
@@ -32,6 +36,13 @@ class GraphError(ValueError):
 
 class ParseError(GraphError):
     pass
+
+
+def _check_vertex_count(n: int):
+    if n < 0:
+        raise GraphError(f"need n >= 0, got n={n}")
+    if n > MAX_VERTICES:
+        raise GraphError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
 
 
 class Graph:
@@ -44,6 +55,7 @@ class Graph:
     __slots__ = ("n", "edges", "adj", "_pair", "_sha")
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int, int]]):
+        _check_vertex_count(n)
         seen: dict[tuple[int, int], int] = {}
         adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         clean = []
@@ -176,7 +188,7 @@ def load_graph(text: str) -> Graph:
 
     A "# n N" comment pins the vertex count (needed when trailing
     vertices are isolated); otherwise n is inferred as max id + 1. Either
-    must not exceed MAX_VERTICES.
+    must not exceed MAX_VERTICES, which Graph checks before it allocates.
     """
     edges = []
     n_hint = None
@@ -206,8 +218,6 @@ def load_graph(text: str) -> Graph:
         edges.append((u, v, w))
         max_id = max(max_id, u, v)
     n = n_hint if n_hint is not None else max_id + 1
-    if n > MAX_VERTICES:
-        raise ParseError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
     try:
         return Graph(n, edges)
     except GraphError as exc:
@@ -324,23 +334,37 @@ def _regular_pairs(n, d, rng):
     raise GraphError(f"random-regular pairing failed after 500 attempts (n={n}, d={d})")
 
 
+def _check_size(n: int, m: float):
+    """Refuse a request before any pair list exists: m is the exact edge
+    count, or the expected one for gnp."""
+    _check_vertex_count(n)
+    if m > MAX_EDGES:
+        raise GraphError(f"{m:.0f} edges exceed the limit of {MAX_EDGES}")
+
+
 def generate(kind: str, seed=0, weights=None, **params) -> Graph:
     """Build one of the stock test graphs.
 
     kind: gnp(n, p), random-regular(n, d), grid(rows, cols), complete(n),
     tree(n), cycle(n). weights: None/"unit" for all-1, or (lo, hi) for
-    uniform integers drawn from the seed.
+    uniform integers drawn from the seed. Requests over MAX_VERTICES or
+    MAX_EDGES raise GraphError.
     """
     rng = substream(seed, "gen", kind)
     if kind == "gnp":
         n, p = int(params["n"]), float(params["p"])
+        _check_size(n, p * n * (n - 1) / 2)
         pairs = _gnp_pairs(n, p, rng)
     elif kind == "random-regular":
         n, d = int(params["n"]), int(params["d"])
+        _check_size(n, n * d / 2)
         pairs = _regular_pairs(n, d, rng)
     elif kind == "grid":
         rows, cols = int(params["rows"]), int(params["cols"])
+        if rows < 0 or cols < 0:
+            raise GraphError(f"grid needs rows, cols >= 0, got {rows}x{cols}")
         n = rows * cols
+        _check_size(n, 2 * n - rows - cols)
         pairs = []
         for r in range(rows):
             for c in range(cols):
@@ -351,14 +375,17 @@ def generate(kind: str, seed=0, weights=None, **params) -> Graph:
                     pairs.append((v, v + cols))
     elif kind == "complete":
         n = int(params["n"])
+        _check_size(n, n * (n - 1) / 2)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     elif kind == "tree":
         n = int(params["n"])
+        _check_size(n, n - 1)
         pairs = [(rng.randrange(i), i) for i in range(1, n)]
     elif kind == "cycle":
         n = int(params["n"])
         if n < 3:
             raise GraphError("cycle needs n >= 3")
+        _check_size(n, n)
         pairs = [(i, (i + 1) % n) for i in range(n)]
         pairs = [(min(a, b), max(a, b)) for a, b in pairs]
     else:

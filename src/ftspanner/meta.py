@@ -151,7 +151,7 @@ def shortcut(path: Path, edge_of: dict[int, tuple[int, int]]) -> Path:
 
 
 def build_fan(v: int, q_v, inc_v, samples, variant: str = "seq",
-              mis_mode: str = "greedy", pi_rng=None) -> list[FanEntry]:
+              pi_rng=None) -> list[FanEntry]:
     """Step 1 for a single vertex: maximal disjoint paths to adjacent
     clusters, shortcut, ordered by last-edge key.
 
@@ -163,10 +163,10 @@ def build_fan(v: int, q_v, inc_v, samples, variant: str = "seq",
     vertices are the grown path's vertices but the owner, and base's tail
     is an inc_v neighbor, so the scan always hits.
 
-    mod with mis_mode "parallel" ranks the candidates by a permutation
-    drawn from pi_rng and takes the lex-first MIS under it, by one scan
-    in rank order; parmis's round MIS computes the same set (acceptance
-    06), and the PRAM depth refers to it. When the candidates are
+    mod given a pi_rng ranks the candidates by a permutation drawn from
+    it and takes the lex-first MIS under it, by one scan in rank order;
+    parmis's round MIS computes the same set (acceptance 06), and the
+    PRAM depth refers to it. seq ignores pi_rng. When the candidates are
     pairwise disjoint (always so in phase 1, where every sample is a
     single neighbor) it accepts them all and draws nothing: the MIS
     under any order is every candidate, the entries are sorted by
@@ -183,7 +183,7 @@ def build_fan(v: int, q_v, inc_v, samples, variant: str = "seq",
     if variant not in ("seq", "mod"):
         raise ValueError(f"unknown variant {variant!r}")
     accepted: list[tuple[Path, tuple[int, int], int, int]] = []
-    if variant == "mod" and mis_mode == "parallel":
+    if variant == "mod" and pi_rng is not None:
         alive = [(p, key, u, si)
                  for u, key in edge_of.items()
                  for si, p in enumerate(samples[u])
@@ -194,8 +194,7 @@ def build_fan(v: int, q_v, inc_v, samples, variant: str = "seq",
             accepted = alive
         else:
             order = list(range(len(alive)))
-            if pi_rng is not None:
-                pi_rng.shuffle(order)
+            pi_rng.shuffle(order)
             for t in sorted(range(len(alive)), key=order.__getitem__):
                 if vsets[t].isdisjoint(used):
                     used |= vsets[t]
@@ -290,11 +289,12 @@ def check_params(n: int, f: int, k: int, c_k: int):
 
 @_collector_paused
 def run_phases(g: Graph, f: int, k: int, *, sample_fn, centers_fn,
-               variant: str = "seq", c_k: int = 20, mis: str = "greedy",
-               pi_rng_fn=None, record_states: bool = False, transport=None):
+               variant: str = "seq", c_k: int = 20, pi_rng_fn=None,
+               record_states: bool = False, transport=None):
     """Shared phase driver. sample_fn(i, u, q_paths) supplies the per-vertex
     sample list; centers_fn(i, centers, fans) picks the surviving centers
-    (fans provided for deterministic selection).
+    (fans provided for deterministic selection); pi_rng_fn(i, v), if
+    given, supplies the stream from which mod ranks v's fan candidates.
 
     transport carries each message step; LocalExchange when None.
       paths(samples, inc) -> v -> {neighbor: its sample list}
@@ -339,7 +339,7 @@ def run_phases(g: Graph, f: int, k: int, *, sample_fn, centers_fn,
         fans = {}
         for v in active:
             pi_rng = pi_rng_fn(i, v) if pi_rng_fn is not None else None
-            fans[v] = build_fan(v, q[v], inc[v], seen(v), variant, mis, pi_rng)
+            fans[v] = build_fan(v, q[v], inc[v], seen(v), variant, pi_rng)
         centers_next = centers_fn(i, centers, fans) if i < k else frozenset()
         head_test = transport.heads(centers_next, samples, inc)
 
@@ -437,7 +437,7 @@ def build_ft_spanner(g: Graph, f: int, k: int, seed=0, variant: str = "seq",
 
     spanner, trace, states, iv_summary = run_phases(
         g, f, k, sample_fn=sample_fn, centers_fn=centers_fn, variant=variant,
-        c_k=c_k, mis=mis, pi_rng_fn=pi_rng_fn, record_states=record_states)
+        c_k=c_k, pi_rng_fn=pi_rng_fn, record_states=record_states)
 
     algo = "meta-seq" if variant == "seq" else "meta-mod"
     result = SpannerResult(

@@ -9,7 +9,7 @@ earliest-priority map, so work per round is linear in the surviving
 paths' total length.
 
 The builds take the same set by one sequential scan (meta.build_fan); the
-PRAM depth refers to the round algorithm, which tests and mis-bench run.
+PRAM depth refers to the round algorithm, which the tests run.
 """
 
 from __future__ import annotations

@@ -9,7 +9,11 @@ file byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+
+# The constant factor of both size bounds.
+SIZE_BOUND_C = 8.0
 
 
 @dataclass
@@ -19,19 +23,16 @@ class PhaseTrace:
     clustered: int
     new_edges: int
     remaining: int
-    seconds: float = 0.0  # volatile; excluded from canonical output
+    seconds: float = 0.0  # volatile; excluded from the JSON
 
-    def to_dict(self, canonical=True):
-        d = {
+    def to_dict(self):
+        return {
             "phase": self.phase,
             "centers": self.centers,
             "clustered": self.clustered,
             "new_edges": self.new_edges,
             "remaining": self.remaining,
         }
-        if not canonical:
-            d["seconds"] = self.seconds
-        return d
 
 
 @dataclass
@@ -50,7 +51,7 @@ class SpannerResult:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def to_dict(self, canonical=True):
+    def to_dict(self):
         return {
             "algo": self.algo,
             "n": self.n,
@@ -59,12 +60,12 @@ class SpannerResult:
             "params": self.params,
             "edge_count": len(self.edges),
             "edges": list(self.edges),
-            "trace": [t.to_dict(canonical) for t in self.trace],
+            "trace": [t.to_dict() for t in self.trace],
             "extras": self.extras,
         }
 
-    def to_json(self, canonical=True) -> str:
-        return json.dumps(self.to_dict(canonical), sort_keys=True, separators=(",", ":")) + "\n"
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
     @classmethod
     def from_dict(cls, d) -> "SpannerResult":
@@ -79,7 +80,7 @@ class SpannerResult:
             raise ValueError("a result's 'trace' must be a list of objects")
         trace = [
             PhaseTrace(t["phase"], t["centers"], t["clustered"], t["new_edges"],
-                       t["remaining"], t.get("seconds", 0.0))
+                       t["remaining"])
             for t in traces
         ]
         return cls(
@@ -98,19 +99,15 @@ class SpannerResult:
         return cls.from_dict(json.loads(text))
 
 
-def meta_size_bound(n: int, f: int, k: int, c: float = 8.0) -> float:
-    """Evaluate c * (k^3 log2(n) f^(1-1/k) n^(1+1/k) + k^2 f n)."""
-    import math
-
+def meta_size_bound(n: int, f: int, k: int) -> float:
+    """Evaluate c * (k^3 log2(n) f^(1-1/k) n^(1+1/k) + k^2 f n), c = SIZE_BOUND_C."""
     if n < 2:
         return 0.0
-    return c * (k**3 * math.log2(n) * f ** (1 - 1 / k) * n ** (1 + 1 / k) + k**2 * f * n)
+    return SIZE_BOUND_C * (k**3 * math.log2(n) * f ** (1 - 1 / k) * n ** (1 + 1 / k) + k**2 * f * n)
 
 
-def warmup_size_bound(n: int, f: int, c: float = 8.0) -> float:
-    """Evaluate c * (f n + sqrt(f) n^(3/2) log2(n))."""
-    import math
-
+def warmup_size_bound(n: int, f: int) -> float:
+    """Evaluate c * (f n + sqrt(f) n^(3/2) log2(n)), c = SIZE_BOUND_C."""
     if n < 2:
         return 0.0
-    return c * (f * n + math.sqrt(f) * n**1.5 * math.log2(n))
+    return SIZE_BOUND_C * (f * n + math.sqrt(f) * n**1.5 * math.log2(n))

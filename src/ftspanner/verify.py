@@ -104,15 +104,7 @@ def _subgraph_adj(g: Graph, edge_ids) -> list[list[tuple[int, int]]]:
 
 
 def _normalize_subgraph(g: Graph, h) -> set[int]:
-    """Return h as a set of g edge ids; reject anything not a subgraph of g."""
-    if isinstance(h, Graph):
-        ids = set()
-        for u, v, w in h.edges:
-            eid = g.edge_id(u, v)
-            if eid is None or g.weight(eid) != w:
-                raise ValueError(f"subgraph edge ({u},{v},{w}) does not appear in the host graph")
-            ids.add(eid)
-        return ids
+    """Return the edge ids h as a set; reject ids outside g."""
     ids = set(int(e) for e in h)
     for eid in ids:
         if not (0 <= eid < g.m):
@@ -332,7 +324,8 @@ class VerificationReport:
 
 def verify_spanner(g: Graph, h, f: int, k: int,
                    cap: int = DEFAULT_CAP) -> VerificationReport:
-    """Check the fault-tolerant stretch guarantee of h against g.
+    """Check the fault-tolerant stretch guarantee of h, an iterable of g's
+    edge ids, against g.
 
     Checks per-edge protection for every edge of g, which is sufficient
     for the spanner property: a shortest path in g minus F is a
@@ -444,10 +437,11 @@ class CertificateReport:
 
 
 def verify_certificate(g: Graph, h, lam: int) -> CertificateReport:
-    """Check that h preserves pairwise connectivity of g under every fault
-    set of size < lam, by Menger's theorem: each edge that h dropped needs
-    lam internally vertex-disjoint paths in h. Each edge that has fewer is
-    reported with a minimum separator, a fault set that disconnects it.
+    """Check that h, an iterable of g's edge ids, preserves pairwise
+    connectivity of g under every fault set of size < lam, by Menger's
+    theorem: each edge that h dropped needs lam internally vertex-disjoint
+    paths in h. Each edge that has fewer is reported with a minimum
+    separator, a fault set that disconnects it.
     fault_sets counts the sets covered, sum over j < lam of C(n, j).
     """
     if lam < 1:

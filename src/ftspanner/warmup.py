@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 
 from ftspanner.graphs import Graph
-from ftspanner.result import PhaseTrace, SpannerResult, warmup_size_bound
+from ftspanner.meta import check_params
+from ftspanner.result import SIZE_BOUND_C, PhaseTrace, SpannerResult, warmup_size_bound
 from ftspanner.rng import vertex_stream
 
 
@@ -23,12 +24,7 @@ def build_3spanner(g: Graph, f: int, seed=0, c_s: int = 4,
                    p_override: float | None = None,
                    record_detail: bool = False) -> SpannerResult:
     n = g.n
-    if f < 1:
-        raise ValueError("fault budget f must be >= 1")
-    if n < 1:
-        raise ValueError("graph must have at least one vertex")
-    if f >= n:
-        raise ValueError(f"f={f} >= n={n}: no vertex can see 4f sampled neighbors")
+    check_params(n, f, 2, 1)
     p = p_override if p_override is not None else math.sqrt(f / n)
 
     centers = {v for v in range(n)
@@ -120,14 +116,14 @@ def build_3spanner(g: Graph, f: int, seed=0, c_s: int = 4,
     return result
 
 
-def warmup_size_report(result: SpannerResult, c: float = 8.0) -> dict:
-    """Measured size against c*(f*n + sqrt(f)*n^1.5*log2(n))."""
+def warmup_size_report(result: SpannerResult) -> dict:
+    """Measured size against c*(f*n + sqrt(f)*n^1.5*log2(n)), c = SIZE_BOUND_C."""
     f = result.params["f"]
-    bound = warmup_size_bound(result.n, f, c)
+    bound = warmup_size_bound(result.n, f)
     edges = result.edge_count
     return {
         "edges": edges,
         "bound": bound,
         "ratio": (edges / bound) if bound > 0 else 0.0,
-        "c": c,
+        "c": SIZE_BOUND_C,
     }

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import shlex
@@ -122,8 +123,16 @@ def test_build_deterministic_files(tmp_path):
     (("build", "--graph", "G", "--f", 1, "--k", 0, "--algo", "meta-det"), "need k >= 2"),
     (("simulate", "--graph", "G", "--f", 1, "--k", 0), "need k >= 2"),
     (("build", "--graph", "G", "--f", 1, "--mis", "parallel"), "need variant 'mod'"),
+    (("gen", "--kind", "complete", "--n", -4), "need n >= 0"),
+    (("gen", "--kind", "gnp", "--n", -4, "--p", 0.5), "need n >= 0"),
+    (("gen", "--kind", "grid", "--rows", -2, "--cols", 3), "rows, cols >= 0"),
+    (("gen", "--kind", "grid", "--rows", -2, "--cols", -3), "rows, cols >= 0"),
+    (("gen", "--kind", "cycle", "--n", 6, "--weights", 5), "'unit' or 'LO:HI'"),
+    (("gen", "--kind", "cycle", "--n", 6, "--weights", "1:x"), "'unit' or 'LO:HI'"),
 ], ids=["empty-meta", "empty-meta-det", "empty-simulate", "k0-meta", "k0-meta-det",
-        "k0-simulate", "parallel-mis-seq"])
+        "k0-simulate", "parallel-mis-seq", "gen-complete-negative-n",
+        "gen-gnp-negative-n", "gen-grid-negative-rows", "gen-grid-negative-both",
+        "gen-weights-one-number", "gen-weights-not-integer"])
 def test_bad_build_parameters_exit_2(tmp_path, capsys, argv, need):
     files = {"EMPTY": tmp_path / "empty.txt", "G": tmp_path / "g.txt"}
     files["EMPTY"].write_text("")
@@ -281,6 +290,7 @@ _INSTANCE = {"ground": list(range(4)), "sets": [[0, 1]], "delta": 1.0}
     (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "delta": 1, "c": math.nan}),
     (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "beta": math.inf}),
     (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "beta": 1.7}),
+    (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "beta": 2.0}),
     (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "ground": [[0], 1]}),
     (("hitting-set", "--instance", "INST"), None,
      {**_INSTANCE, "ground": [0, "a"], "sets": [[0, "a"]]}),
@@ -290,7 +300,7 @@ _INSTANCE = {"ground": list(range(4)), "sets": [[0, 1]], "delta": 1.0}
         "instance-ground-not-list", "instance-sets-not-lists",
         "instance-not-object", "instance-delta-not-number",
         "instance-delta-nan", "instance-c-nan", "instance-beta-inf",
-        "instance-beta-fraction",
+        "instance-beta-fraction", "instance-beta-float",
         "instance-ground-not-scalars", "instance-ground-mixed-kinds"])
 def test_bad_input_files_exit_2(tmp_path, capsys, argv, result_text, spec):
     """result_text replaces the built result file; a dict replaces fields of it."""
@@ -319,23 +329,15 @@ def test_hitting_set_command(tmp_path, capsys):
     assert data["size"] <= 3
 
 
-def test_mis_bench_tsv(tmp_path):
-    out = tmp_path / "t.tsv"
-    assert run("mis-bench", "--instances", 10, "--max-paths", 20,
-               "--max-verts", 12, "-o", out) == 0
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 11
-    assert all(line.split("\t")[-1] == "1" for line in lines[1:])
-
-
 def test_readme_cli_block_parses():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```")[1]
     lines = [line for line in block.splitlines() if line.startswith("ftspanner ")]
-    assert len(lines) >= 9
     parser = make_parser()
-    for line in lines:
-        parser.parse_args(shlex.split(line)[1:])
+    shown = {parser.parse_args(shlex.split(line)[1:]).cmd for line in lines}
+    subcommands = next(a for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+    assert shown == set(subcommands)
 
 
 def test_usage_error_exit_2(tmp_path):

@@ -115,6 +115,40 @@ def test_generate_regular_degrees():
     assert all(g.degree(v) == 6 for v in range(30))
 
 
+def test_negative_vertex_count_rejected():
+    # generate's negative sizes are rows of test_cli's bad-parameter table
+    with pytest.raises(GraphError, match="need n >= 0"):
+        Graph(-1, [])
+
+
+def test_generate_refuses_requests_over_the_limits(monkeypatch):
+    # The limits are lowered, so no large graph is ever requested.
+    monkeypatch.setattr(graphs, "MAX_VERTICES", 50)
+    monkeypatch.setattr(graphs, "MAX_EDGES", 100)
+    assert generate("complete", n=14).m == 91
+    assert generate("grid", rows=7, cols=7).m == 84
+    assert generate("tree", n=50, seed=1).n == 50
+    assert generate("cycle", n=50).m == 50
+    assert generate("gnp", n=50, p=0.08, seed=1).n == 50
+
+    def built(*args):
+        raise AssertionError("a pair list was built before the size check")
+
+    for name in ("_gnp_pairs", "_regular_pairs", "_apply_weights"):
+        monkeypatch.setattr(graphs, name, built)
+    for kind, params, limit in (
+            ("complete", {"n": 15}, "105 edges exceed the limit of 100"),
+            ("complete", {"n": 51}, "51 vertices exceed the limit of 50"),
+            ("gnp", {"n": 40, "p": 0.5}, "390 edges exceed"),
+            ("gnp", {"n": 51, "p": 0.01}, "vertices exceed"),
+            ("random-regular", {"n": 30, "d": 8}, "120 edges exceed"),
+            ("grid", {"rows": 10, "cols": 10}, "vertices exceed"),
+            ("tree", {"n": 51}, "vertices exceed"),
+            ("cycle", {"n": 51}, "vertices exceed")):
+        with pytest.raises(GraphError, match=limit):
+            generate(kind, **params)
+
+
 def test_generate_grid_tree():
     g = generate("grid", rows=6, cols=6)
     assert g.n == 36 and g.m == 60

@@ -89,8 +89,7 @@ def _eager_shortcut(path, edge_of):
     return path.prefix_to(best_idx).extend(verts[-1], best[1], best)
 
 
-def _eager_build_fan(v, q_v, inc_v, samples, variant="seq", mis_mode="greedy",
-                     pi_rng=None):
+def _eager_build_fan(v, q_v, inc_v, samples, variant="seq", pi_rng=None):
     """The fan step that builds both paths of every accepted candidate up
     front, as (path, orig, src, sample_idx) in build_fan's order."""
     used = set()
@@ -111,11 +110,10 @@ def _eager_build_fan(v, q_v, inc_v, samples, variant="seq", mis_mode="greedy",
         cands = [(p, eid, (w, eid), u, si)
                  for (w, eid, u) in inc_v
                  for si, p in enumerate(samples[u])]
-        if mis_mode == "parallel":
+        if pi_rng is not None:
             alive = [j for j, c in enumerate(cands) if c[0].vset.isdisjoint(used)]
             order = list(range(len(alive)))
-            if pi_rng is not None:
-                pi_rng.shuffle(order)
+            pi_rng.shuffle(order)
             inst = PathConflictInstance(
                 tuple(cands[j][0].vset for j in alive), tuple(order))
             # the scan the round algorithm reproduces
@@ -168,10 +166,10 @@ def fan_cases(draw):
         paths = [_random_path(g, rng, u, rng.randint(0, min(3, n - 2)))
                  for _ in range(rng.randint(0, 4))]
         samples[u] = list({p.vertices: p for p in paths}.values())
-    variant, mis_mode = draw(st.sampled_from(
-        [("seq", "greedy"), ("mod", "greedy"), ("mod", "parallel")]))
+    variant, ranked = draw(st.sampled_from(
+        [("seq", False), ("mod", False), ("mod", True)]))
     heads = frozenset(x for x in range(n) if rng.random() < 0.5)
-    return v, q_v, inc_v, samples, variant, mis_mode, seed, heads
+    return v, q_v, inc_v, samples, variant, ranked, seed, heads
 
 
 def _full(p):
@@ -185,10 +183,10 @@ def test_lazy_fan_matches_eager_oracle():
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(fan_cases())
     def check(case):
-        v, q_v, inc_v, samples, variant, mis_mode, seed, heads = case
-        pi = (lambda: substream(seed, "pi")) if mis_mode == "parallel" else (lambda: None)
-        got = build_fan(v, q_v, inc_v, samples, variant, mis_mode, pi())
-        want = _eager_build_fan(v, q_v, inc_v, samples, variant, mis_mode, pi())
+        v, q_v, inc_v, samples, variant, ranked, seed, heads = case
+        pi = (lambda: substream(seed, "pi")) if ranked else (lambda: None)
+        got = build_fan(v, q_v, inc_v, samples, variant, pi())
+        want = _eager_build_fan(v, q_v, inc_v, samples, variant, pi())
         assert len(got) == len(want)
         for e, (path, orig, src, si) in zip(got, want):
             assert (e.src, e.sample_idx) == (src, si)
@@ -466,10 +464,9 @@ def _check_against_eager(inst, pi_seed):
     q_v, inc_v, samples = inst
     pi_rng = substream(pi_seed, "pi")
     before = pi_rng.getstate()
-    got = build_fan(0, q_v, inc_v, samples, "mod", "parallel", pi_rng)
+    got = build_fan(0, q_v, inc_v, samples, "mod", pi_rng)
     drew = pi_rng.getstate() != before
-    want = _eager_build_fan(0, q_v, inc_v, samples, "mod", "parallel",
-                            substream(pi_seed, "pi"))
+    want = _eager_build_fan(0, q_v, inc_v, samples, "mod", substream(pi_seed, "pi"))
     assert [(e.src, e.sample_idx, _full(e.path), _full(e.orig)) for e in got] \
         == [(src, si, _full(path), _full(orig)) for path, orig, src, si in want]
     return got, drew
@@ -491,14 +488,25 @@ def test_one_conflict_runs_the_mis():
     assert drew
 
 
+def test_seq_fan_ignores_the_permutation_stream():
+    # the conflicting instance above: mod ranks it, seq must not
+    q_v, inc_v, samples = _fan_instance({1: [(5, 1)], 2: [(5, 2)], 3: [(3,)], 4: [(8, 4)]})
+    pi_rng = substream(11, "pi")
+    before = pi_rng.getstate()
+    got = build_fan(0, q_v, inc_v, samples, "seq", pi_rng)
+    assert pi_rng.getstate() == before
+    want = build_fan(0, q_v, inc_v, samples, "seq")
+    assert [(e.src, e.sample_idx, _full(e.path), _full(e.orig)) for e in got] \
+        == [(e.src, e.sample_idx, _full(e.path), _full(e.orig)) for e in want]
+
+
 def _k40_mod_parallel(pi_rng_fn):
     """The K40 mod-parallel build (weights 1..1000, f=1, k=3, c_k=1, seed 1)
     through run_phases, with the given permutation streams."""
     g = generate("complete", n=40, seed=1, weights=(1, 1000))
     sample_fn, centers_fn = random_steps(g.n, 1, 3, 1, 4)
     _, trace, _, _ = run_phases(g, 1, 3, sample_fn=sample_fn, centers_fn=centers_fn,
-                                variant="mod", c_k=1, mis="parallel",
-                                pi_rng_fn=pi_rng_fn)
+                                variant="mod", c_k=1, pi_rng_fn=pi_rng_fn)
     assert trace[0].clustered == g.n and trace[1].clustered > 0
 
 
@@ -523,8 +531,8 @@ def test_round_mis_takes_the_fans_of_a_real_build(monkeypatch):
     phase_of = {}
     rounds = []
 
-    def checked(v, q_v, inc_v, samples, variant, mis_mode, pi_rng):
-        out = real(v, q_v, inc_v, samples, variant, mis_mode, pi_rng)
+    def checked(v, q_v, inc_v, samples, variant, pi_rng):
+        out = real(v, q_v, inc_v, samples, variant, pi_rng)
         # run_phases builds each clustered vertex's fan once per phase
         i = phase_of[v] = phase_of.get(v, 0) + 1
         used = set().union(*(p.vset for p in q_v))
