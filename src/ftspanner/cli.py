@@ -62,16 +62,16 @@ def cmd_gen(args) -> int:
 
 
 def _build(g: Graph, algo: str, f: int, k: int, seed, variant: str,
-           mis: str, c_k: int, c_s: int) -> SpannerResult:
+           mis: str, c_k: int) -> SpannerResult:
     if algo == "warmup":
         if k != 2:
             raise ValueError("the warmup build is defined for k = 2 only")
-        res = build_3spanner(g, f, seed=seed, c_s=c_s)
+        res = build_3spanner(g, f, seed=seed)
         res.extras["size_report"] = warmup_size_report(res)
         return res
     if algo == "meta":
         return build_ft_spanner(g, f, k, seed=seed, variant=variant,
-                                c_k=c_k, c_s=c_s, mis=mis)
+                                c_k=c_k, mis=mis)
     if algo == "meta-det":
         return build_ft_spanner_det(g, f, k, c_k=c_k)
     raise ValueError(f"unknown algo {algo!r}")
@@ -80,7 +80,7 @@ def _build(g: Graph, algo: str, f: int, k: int, seed, variant: str,
 def cmd_build(args) -> int:
     g = _read_graph(args.graph)
     res = _build(g, args.algo, args.f, args.k, args.seed, args.variant,
-                 args.mis, args.ck, args.cs)
+                 args.mis, args.ck)
     _write(res.to_json(), args.out)
     return 0
 
@@ -114,7 +114,7 @@ def cmd_certificate(args) -> int:
         raise ValueError(f"lambda={args.lam} larger than the vertex count {g.n}")
     f = max(1, args.lam - 1)
     k = max(2, math.ceil(math.log2(max(g.n, 2))))
-    res = build_ft_spanner(g, f, k, seed=args.seed, c_k=args.ck, c_s=args.cs)
+    res = build_ft_spanner(g, f, k, seed=args.seed, c_k=args.ck)
     res.params["lambda"] = args.lam
     res.params["role"] = "certificate"
     _write(res.to_json(), args.out)
@@ -145,7 +145,7 @@ def _dump_message_log(log, path: str):
 def cmd_simulate(args) -> int:
     g = _read_graph(args.graph)
     res, rounds = simulate_distributed_spanner(
-        g, args.f, args.k, seed=args.seed, c_b=args.cb, c_k=args.ck, c_s=args.cs,
+        g, args.f, args.k, seed=args.seed, c_b=args.cb, c_k=args.ck,
         record_messages=bool(args.dump_log))
     _write(res.to_json(), args.out)
     if args.dump_log:
@@ -162,6 +162,8 @@ def cmd_hitting_set(args) -> int:
             and all(isinstance(s, list) for s in spec["sets"])):
         raise ValueError("a hitting-set instance must be a JSON object whose"
                          " 'ground' is a list and whose 'sets' is a list of lists")
+    if "delta" not in spec:
+        raise ValueError("a hitting-set instance needs a 'delta'")
     elems = list(chain(spec["ground"], *spec["sets"]))
     # one kind only: the chosen set is printed sorted
     if not (all(isinstance(x, (int, float)) for x in elems)
@@ -235,7 +237,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--mis", default="greedy", choices=["greedy", "parallel"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ck", type=int, default=20)
-    p.add_argument("--cs", type=int, default=4)
     p.add_argument("-o", "--out")
     p.set_defaults(fn=cmd_build)
 
@@ -252,7 +253,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ck", type=int, default=20)
-    p.add_argument("--cs", type=int, default=4)
     p.add_argument("--check", action="store_true")
     p.add_argument("-o", "--out")
     p.set_defaults(fn=cmd_certificate)
@@ -264,7 +264,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cb", type=int, default=4)
     p.add_argument("--ck", type=int, default=20)
-    p.add_argument("--cs", type=int, default=4)
     p.add_argument("--dump-log", help="write the binary message log here")
     p.add_argument("-o", "--out")
     p.set_defaults(fn=cmd_simulate)

@@ -19,13 +19,15 @@ trees edge by edge so the next phase can broadcast on them. Every random
 draw comes from the per-(vertex, phase) streams the sequential build
 uses, so the simulated output matches it edge for edge.
 
-Each message wave is one Network.transmit over one send per sender: the
-sender, its receivers, the chunk list it sends every one of them, and a
-payload per receiver. The same chunks go down each of the sender's
-edges, so messages, bits and rounds (the longest chunk list) are counted
-by multiplying by the receiver count, also per message tag, instead of
-walking every directed edge every round. The per-message log is built
-only when record_messages is set, in round order and then send order.
+Each message wave is one Network.transmit with one tag and one send per
+sender: the sender, its receivers, the bit count of the message it sends
+every one of them, and a payload per receiver. transmit is the only code
+that cuts a message into B-bit chunks, one per round. The same chunks go
+down each of the sender's edges, so messages, bits and rounds (the
+wave's longest message) are counted by multiplying by the receiver
+count, also per tag, instead of walking every directed edge every round.
+The per-message log is built only when record_messages is set, in round
+order and then send order.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from itertools import repeat
 from operator import itemgetter
 
 from ftspanner.graphs import Graph
-from ftspanner.meta import check_params, random_steps, run_phases
+from ftspanner.meta import C_S, check_params, random_steps, run_phases
 from ftspanner.result import SpannerResult, meta_size_bound
 # Unused here; the traced benchmark (perfbench/layers.py) patches these
 # names on this module, so they stay importable from it.
@@ -80,7 +82,8 @@ class RoundReport:
 
 
 class Network:
-    """Round-synchronous transport; every chunk sent is checked against B.
+    """Round-synchronous transport. Senders hand transmit a bit count per
+    message; transmit alone cuts it into chunks of at most B bits.
 
     paths, heads, edge_state and register are the message steps that
     meta.run_phases calls once per phase (register only before the last).
@@ -103,85 +106,60 @@ class Network:
         self.phase_starts: list[int] = []
         self.children: dict = {}  # (root, vertex) -> vertex's children in root's tree
 
-    def queue(self, bits: int, tag: str) -> tuple:
-        """Chunk a `bits`-bit message into per-round (bits, tag) chunks of
-        at most B bits, the remainder last."""
-        full, last = divmod(max(1, bits) - 1, self.B)
-        return ((self.B, tag),) * full + ((last + 1, tag),)
+    def transmit(self, tag: str, sends) -> tuple[dict, int]:
+        """Deliver one wave of `tag` messages.
 
-    def transmit(self, sends) -> tuple[dict, int]:
-        """Deliver one message wave.
-
-        sends: (src, receivers, chunks, payloads) per send. src sends the
-        same chunk list, one (bits, tag) chunk per round from the next
-        round on, to each of its receivers; payloads yields one payload
-        per receiver, in receiver order, that rides the final chunk.
-        Traffic is accounted per send, by multiplying by the receiver
-        count; the message log, when recorded, lists each message in
-        round order and then in send order.
+        sends: (src, receivers, bits, payloads) per send. src sends the
+        same bits-bit message to each of its receivers as B-bit chunks,
+        one per round from the next round on, the remainder last;
+        payloads yields one payload per receiver, in receiver order, that
+        rides the final chunk. Traffic is accounted per send, by
+        multiplying by the receiver count; the message log, when
+        recorded, lists each chunk in round order and then in send order.
         Returns (inbox dst -> {src: payload}, rounds used).
         """
         inbox: dict = defaultdict(dict)
-        stats: dict = {}  # chunk list -> (rounds, bits, per-tag counts)
-        tag_rounds: dict[str, set] = {}
-        depth = 0
+        B = self.B
+        depth = widest = messages = bits_total = 0
         log = [] if self.log is not None else None
-        for src, receivers, chunks, payloads in sends:
+        for src, receivers, bits, payloads in sends:
             fan = len(receivers)
             if not fan:
                 continue
-            st = stats.get(chunks)
-            if st is None:
-                st = stats[chunks] = self._chunk_stats(src, receivers, chunks)
-            rounds, bits, per_tag = st
+            bits = max(1, bits)
+            rounds = (bits - 1) // B + 1
             depth = max(depth, rounds)
-            self.messages += rounds * fan
-            self.bits_total += bits * fan
-            for tag, count, tag_bits, used in per_tag:
-                acc = self.tags[tag]
-                acc["messages"] += count * fan
-                acc["bits"] += tag_bits * fan
-                tag_rounds.setdefault(tag, set()).update(used)
+            widest = max(widest, bits)
+            messages += rounds * fan
+            bits_total += bits * fan
             for dst, payload in zip(receivers, payloads):
                 inbox[dst][src] = payload
             if log is not None:
                 edges = list(zip(repeat(src), receivers))
-                for r, (b, tag) in enumerate(chunks, start=self.round + 1):
+                last = bits - (rounds - 1) * B
+                for r, b in enumerate([B] * (rounds - 1) + [last], start=self.round + 1):
                     log.extend(zip(repeat(r), edges, repeat(b), repeat(tag)))
-        for tag, used in tag_rounds.items():
-            self.tags[tag]["rounds"] += len(used)
+        if depth:
+            self.messages += messages
+            self.bits_total += bits_total
+            self.max_bits = max(self.max_bits, min(widest, B))
+            acc = self.tags.setdefault(tag, {"rounds": 0, "messages": 0, "bits": 0})
+            acc["rounds"] += depth
+            acc["messages"] += messages
+            acc["bits"] += bits_total
         if log:
             log.sort(key=itemgetter(0))  # stable: send order within a round
             self.log.extend(log)
         self.round += depth
         return inbox, depth
 
-    def _chunk_stats(self, src, receivers, chunks):
-        """Check one chunk list against B, fold it into max_bits, and sum
-        it per tag: (chunks, bits, ((tag, chunks, bits, chunk indices), ...))."""
-        per_tag: dict[str, list] = {}
-        for r, (bits, tag) in enumerate(chunks):
-            if bits > self.B:
-                raise BandwidthExceeded(
-                    f"round {self.round + r + 1} edge {(src, receivers[0])}: "
-                    f"message of {bits} bits exceeds B={self.B}")
-            self.max_bits = max(self.max_bits, bits)
-            acc = per_tag.setdefault(tag, [0, 0, []])
-            acc[0] += 1
-            acc[1] += bits
-            acc[2].append(r)
-            self.tags.setdefault(tag, {"rounds": 0, "messages": 0, "bits": 0})
-        return (len(chunks), sum(b for b, _ in chunks),
-                tuple((tag, c, b, used) for tag, (c, b, used) in per_tag.items()))
-
     def paths(self, samples, inc):
         """(a) Pipeline each vertex's sample list to its remaining-edge
         neighbors. Returns v -> {neighbor: the sample list v received}."""
         self.phase_starts.append(self.round)
-        inbox, _ = self.transmit(
-            (v, _receivers(inc[v]),
-             self.queue(_path_stream_bits(self, s), "paths"), repeat(tuple(s)))
-            for v, s in samples.items())
+        inbox, _ = self.transmit("paths", (
+            (v, _receivers(inc[v]), _path_stream_bits(self, s), repeat(tuple(s)))
+            for v, s in samples.items()))
         return lambda v: inbox[v]
 
     def heads(self, centers, samples, inc):
@@ -195,9 +173,8 @@ class Network:
         for u, s in samples.items():
             got = received.get(u, ())
             flags = tuple(p.head in got for p in s)
-            sends.append((u, _receivers(inc[u]),
-                          self.queue(len(flags) + 2, "heads"), repeat(flags)))
-        inbox, _ = self.transmit(sends)
+            sends.append((u, _receivers(inc[u]), len(flags) + 2, repeat(flags)))
+        inbox, _ = self.transmit("heads", sends)
 
         def head_test(v):
             got = received.get(v, ())
@@ -222,10 +199,9 @@ class Network:
             ok = v in thr
             # only the bought flag depends on the receiver's edge
             state = ((ok, thr.get(v), False), (ok, thr.get(v), True))
-            sends.append((v, _receivers(inc[v]),
-                          self.queue(2 + (key_bits if ok else 0) + 2, "edge-state"),
+            sends.append((v, _receivers(inc[v]), 2 + (key_bits if ok else 0) + 2,
                           [state[eid in le_v] for w, eid, u in inc[v]]))
-        inbox, _ = self.transmit(sends)
+        inbox, _ = self.transmit("edge-state", sends)
 
         def peer(v):
             thr_of, seen, box = {}, set(le[v]), inbox[v]
@@ -264,13 +240,13 @@ class Network:
                         f"wave; vertex independence violated")
                 edges.add(edge)
                 bits = (len(prefix) + 1) * self.id_bits + 2
-                sends.append((sender, (receiver,), self.queue(bits, "register"),
-                              ((root, prefix),)))
-            inbox, _ = self.transmit(sends)
+                sends.append((sender, (receiver,), bits, ((root, prefix),)))
+            inbox, _ = self.transmit("register", sends)
             pending = []
-            # handled as they complete: shorter messages first, then in
-            # send order
-            for sender, (receiver,), _, _ in sorted(sends, key=lambda s: len(s[2])):
+            # handled as they complete: fewer chunks first, then in send
+            # order (bits alone would reorder messages of one chunk count)
+            B = self.B
+            for sender, (receiver,), _, _ in sorted(sends, key=lambda s: (s[2] - 1) // B):
                 root, prefix = inbox[receiver][sender]
                 kids = self.children.setdefault((root, receiver), [])
                 if sender not in kids:
@@ -296,7 +272,7 @@ def tree_broadcast(net: Network, children: dict, roots) -> tuple[dict, int]:
         received.setdefault(s, set()).add(s)
         frontier.append((s, s))
     rounds = 0
-    chunks = net.queue(net.id_bits + 2, "center")
+    bits = net.id_bits + 2
     while frontier:
         sends = []
         edges: set = set()
@@ -308,10 +284,10 @@ def tree_broadcast(net: Network, children: dict, roots) -> tuple[dict, int]:
                         f"edge {edge} would carry two center announcements in "
                         f"one wave; vertex independence violated")
                 edges.add(edge)
-                sends.append((x, (child,), chunks, (root,)))
+                sends.append((x, (child,), bits, (root,)))
         if not sends:
             break
-        inbox, used = net.transmit(sends)
+        inbox, used = net.transmit("center", sends)
         rounds += used
         frontier = [(inbox[child][x], child) for x, (child,), _, _ in sends]
         for root, child in frontier:
@@ -332,7 +308,7 @@ def _path_stream_bits(net: Network, paths) -> int:
 
 
 def simulate_distributed_spanner(g: Graph, f: int, k: int, seed=0,
-                                 c_b: int = 4, c_k: int = 20, c_s: int = 4,
+                                 c_b: int = 4, c_k: int = 20,
                                  record_messages: bool = False
                                  ) -> tuple[SpannerResult, RoundReport]:
     """Run the build as a synchronous message-passing computation.
@@ -343,7 +319,7 @@ def simulate_distributed_spanner(g: Graph, f: int, k: int, seed=0,
     """
     check_params(g.n, f, k, c_k)
     net = Network(g, c_b=c_b, record_messages=record_messages)
-    sample_fn, centers_fn = random_steps(g.n, f, k, seed, c_s)
+    sample_fn, centers_fn = random_steps(g.n, f, k, seed)
     spanner, trace, _, _ = run_phases(g, f, k, sample_fn=sample_fn,
                                       centers_fn=centers_fn, c_k=c_k,
                                       transport=net)
@@ -359,7 +335,7 @@ def simulate_distributed_spanner(g: Graph, f: int, k: int, seed=0,
     result = SpannerResult(
         algo="congest-sim", n=g.n, m=g.m, graph_sha=g.sha(),
         params={"f": f, "k": k, "seed": seed, "c_b": c_b, "c_k": c_k,
-                "c_s": c_s},
+                "c_s": C_S},
         edges=tuple(sorted(spanner)),
         trace=trace,
         extras={"size_bound": meta_size_bound(g.n, f, k),

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from ftspanner.rng import substream
@@ -52,11 +53,10 @@ class Graph:
     (w, id, other) triples sorted ascending by (w, id).
     """
 
-    __slots__ = ("n", "edges", "adj", "_pair", "_sha")
+    __slots__ = ("n", "edges", "adj", "_sha")
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int, int]]):
         _check_vertex_count(n)
-        seen: dict[tuple[int, int], int] = {}
         adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         clean = []
         for eid, (u, v, w) in enumerate(edges):
@@ -66,19 +66,16 @@ class Graph:
                 raise GraphError(f"edge {eid}: self-loop at vertex {u}")
             if not isinstance(w, int) or w < 1:
                 raise GraphError(f"edge {eid}: weight must be a positive integer, got {w!r}")
-            pair = (u, v) if u < v else (v, u)
-            if pair in seen:
-                raise GraphError(f"edge {eid}: parallel edge {pair}, first at id {seen[pair]}")
-            seen[pair] = eid
             clean.append((u, v, w))
             adj[u].append((w, eid, v))
             adj[v].append((w, eid, u))
         for lst in adj:
+            if len(set(map(itemgetter(2), lst))) < len(lst):
+                _raise_parallel_edge(clean)
             lst.sort()
         self.n = n
         self.edges = tuple(clean)
         self.adj = tuple(tuple(lst) for lst in adj)
-        self._pair = seen
         self._sha = None
 
     @property
@@ -87,16 +84,6 @@ class Graph:
 
     def key(self, eid: int) -> tuple[int, int]:
         return (self.edges[eid][2], eid)
-
-    def weight(self, eid: int) -> int:
-        return self.edges[eid][2]
-
-    def endpoints(self, eid: int) -> tuple[int, int]:
-        u, v, _ = self.edges[eid]
-        return u, v
-
-    def edge_id(self, u: int, v: int) -> int | None:
-        return self._pair.get((u, v) if u < v else (v, u))
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -122,6 +109,16 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _raise_parallel_edge(edges):
+    """Raise for the first edge that repeats the pair of an earlier one."""
+    first: dict[tuple[int, int], int] = {}
+    for eid, (u, v, _) in enumerate(edges):
+        pair = (u, v) if u < v else (v, u)
+        if pair in first:
+            raise GraphError(f"edge {eid}: parallel edge {pair}, first at id {first[pair]}")
+        first[pair] = eid
 
 
 class Path:
@@ -342,14 +339,25 @@ def _check_size(n: int, m: float):
         raise GraphError(f"{m:.0f} edges exceed the limit of {MAX_EDGES}")
 
 
+# generator kind -> the parameters it needs
+_GEN_PARAMS = {"gnp": ("n", "p"), "random-regular": ("n", "d"),
+               "grid": ("rows", "cols"), "complete": ("n",), "tree": ("n",),
+               "cycle": ("n",)}
+
+
 def generate(kind: str, seed=0, weights=None, **params) -> Graph:
     """Build one of the stock test graphs.
 
     kind: gnp(n, p), random-regular(n, d), grid(rows, cols), complete(n),
     tree(n), cycle(n). weights: None/"unit" for all-1, or (lo, hi) for
     uniform integers drawn from the seed. Requests over MAX_VERTICES or
-    MAX_EDGES raise GraphError.
+    MAX_EDGES raise GraphError, as does a missing parameter.
     """
+    if kind not in _GEN_PARAMS:
+        raise GraphError(f"unknown generator kind {kind!r}")
+    for name in _GEN_PARAMS[kind]:
+        if params.get(name) is None:
+            raise GraphError(f"{kind} needs parameter {name!r}")
     rng = substream(seed, "gen", kind)
     if kind == "gnp":
         n, p = int(params["n"]), float(params["p"])
@@ -381,13 +389,11 @@ def generate(kind: str, seed=0, weights=None, **params) -> Graph:
         n = int(params["n"])
         _check_size(n, n - 1)
         pairs = [(rng.randrange(i), i) for i in range(1, n)]
-    elif kind == "cycle":
+    else:  # cycle
         n = int(params["n"])
         if n < 3:
             raise GraphError("cycle needs n >= 3")
         _check_size(n, n)
         pairs = [(i, (i + 1) % n) for i in range(n)]
         pairs = [(min(a, b), max(a, b)) for a, b in pairs]
-    else:
-        raise GraphError(f"unknown generator kind {kind!r}")
     return _apply_weights(n, pairs, weights, seed)

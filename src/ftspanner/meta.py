@@ -36,6 +36,10 @@ from ftspanner.rng import vertex_stream
 # name on this module, so it stays importable from it.
 from ftspanner.parmis import parallel_greedy_mis  # noqa: F401
 
+# The sample factor: a vertex draws up to C_S * log2(n) samples (cluster
+# paths here, centers in the warm-up build).
+C_S = 4
+
 
 class FanEntry:
     """One path of an owner's fan.
@@ -400,11 +404,11 @@ def run_phases(g: Graph, f: int, k: int, *, sample_fn, centers_fn,
     return spanner, trace, states, iv_summary
 
 
-def random_steps(n: int, f: int, k: int, seed, c_s: int):
-    """The randomized sample_fn and centers_fn: up to ell = c_s * log2(n)
+def random_steps(n: int, f: int, k: int, seed):
+    """The randomized sample_fn and centers_fn: up to ell = C_S * log2(n)
     draws from each cluster-path list, and each center survives a phase
     with probability p = (f / n)^(1/k)."""
-    ell = max(1, c_s * math.ceil(math.log2(max(n, 2))))
+    ell = max(1, C_S * math.ceil(math.log2(max(n, 2))))
     p = (f / n) ** (1 / k)
 
     def sample_fn(i, u, qpaths):
@@ -419,7 +423,7 @@ def random_steps(n: int, f: int, k: int, seed, c_s: int):
 
 
 def build_ft_spanner(g: Graph, f: int, k: int, seed=0, variant: str = "seq",
-                     c_k: int = 20, c_s: int = 4, mis: str = "greedy",
+                     c_k: int = 20, mis: str = "greedy",
                      record_states: bool = False) -> SpannerResult:
     """Randomized build. variant "seq" scans each remaining edge in weight
     order and takes the first disjoint sampled path of that neighbor;
@@ -429,7 +433,7 @@ def build_ft_spanner(g: Graph, f: int, k: int, seed=0, variant: str = "seq",
     check_params(n, f, k, c_k)
     if mis == "parallel" and variant != "mod":
         raise ValueError(f"need variant 'mod' for mis='parallel', got {variant!r}")
-    sample_fn, centers_fn = random_steps(n, f, k, seed, c_s)
+    sample_fn, centers_fn = random_steps(n, f, k, seed)
 
     pi_rng_fn = None
     if variant == "mod" and mis == "parallel":
@@ -443,7 +447,7 @@ def build_ft_spanner(g: Graph, f: int, k: int, seed=0, variant: str = "seq",
     result = SpannerResult(
         algo=algo, n=n, m=g.m, graph_sha=g.sha(),
         params={"f": f, "k": k, "seed": seed, "variant": variant,
-                "c_k": c_k, "c_s": c_s, "mis": mis},
+                "c_k": c_k, "c_s": C_S, "mis": mis},
         edges=tuple(sorted(spanner)),
         trace=trace,
         extras={"size_bound": meta_size_bound(n, f, k), "k_f": c_k * k * f,

@@ -71,6 +71,9 @@ class SpannerResult:
     def from_dict(cls, d) -> "SpannerResult":
         if not isinstance(d, dict):
             raise ValueError(f"a result must be a JSON object, got {type(d).__name__}")
+        for key in ("algo", "n", "m", "graph_sha", "edges"):
+            if key not in d:
+                raise ValueError(f"a result has no {key!r} field")
         edges, traces = d["edges"], d.get("trace", [])
         if not (isinstance(edges, list)
                 and all(type(e) is int for e in edges)):

@@ -15,12 +15,12 @@ from __future__ import annotations
 import math
 
 from ftspanner.graphs import Graph
-from ftspanner.meta import check_params
+from ftspanner.meta import C_S, check_params
 from ftspanner.result import SIZE_BOUND_C, PhaseTrace, SpannerResult, warmup_size_bound
 from ftspanner.rng import vertex_stream
 
 
-def build_3spanner(g: Graph, f: int, seed=0, c_s: int = 4,
+def build_3spanner(g: Graph, f: int, seed=0,
                    p_override: float | None = None,
                    record_detail: bool = False) -> SpannerResult:
     n = g.n
@@ -60,7 +60,7 @@ def build_3spanner(g: Graph, f: int, seed=0, c_s: int = 4,
                 h_prime.add(eid)
 
     # Step two: per clustered vertex, O(log n) center samples per neighbor.
-    n_samples = max(1, c_s * math.ceil(math.log2(max(n, 2))))
+    n_samples = max(1, C_S * math.ceil(math.log2(max(n, 2))))
     # only the distinct samples matter: step two takes the least unobserved
     sampled_set: dict[int, set[int]] = {}
     for v in sorted(s_of):
@@ -93,7 +93,7 @@ def build_3spanner(g: Graph, f: int, seed=0, c_s: int = 4,
         n=n,
         m=g.m,
         graph_sha=g.sha(),
-        params={"f": f, "k": 2, "seed": seed, "c_s": c_s,
+        params={"f": f, "k": 2, "seed": seed, "c_s": C_S,
                 "p": p if p_override is not None else None},
         edges=edges,
         trace=[PhaseTrace(1, len(centers), n - len(unclustered),

@@ -7,6 +7,11 @@ import pytest
 from ftspanner.graphs import Graph, dist, generate
 
 
+def edge_id(g: Graph, u: int, v: int) -> int | None:
+    """Id of the edge between u and v, or None, by a scan of u's list."""
+    return next((eid for _, eid, x in g.adj[u] if x == v), None)
+
+
 def small_random_graph(seed: int, n_max: int = 10, weighted: bool = True) -> Graph:
     """Small connected-ish random graph for oracle micro-instances."""
     from ftspanner.rng import substream

@@ -129,10 +129,13 @@ def test_build_deterministic_files(tmp_path):
     (("gen", "--kind", "grid", "--rows", -2, "--cols", -3), "rows, cols >= 0"),
     (("gen", "--kind", "cycle", "--n", 6, "--weights", 5), "'unit' or 'LO:HI'"),
     (("gen", "--kind", "cycle", "--n", 6, "--weights", "1:x"), "'unit' or 'LO:HI'"),
+    (("gen", "--kind", "gnp", "--n", 5), "gnp needs parameter 'p'"),
+    (("gen", "--kind", "random-regular", "--n", 6), "random-regular needs parameter 'd'"),
 ], ids=["empty-meta", "empty-meta-det", "empty-simulate", "k0-meta", "k0-meta-det",
         "k0-simulate", "parallel-mis-seq", "gen-complete-negative-n",
         "gen-gnp-negative-n", "gen-grid-negative-rows", "gen-grid-negative-both",
-        "gen-weights-one-number", "gen-weights-not-integer"])
+        "gen-weights-one-number", "gen-weights-not-integer", "gen-gnp-no-p",
+        "gen-regular-no-d"])
 def test_bad_build_parameters_exit_2(tmp_path, capsys, argv, need):
     files = {"EMPTY": tmp_path / "empty.txt", "G": tmp_path / "g.txt"}
     files["EMPTY"].write_text("")
@@ -193,9 +196,9 @@ def test_simulate_ck_equals_build_ck(tmp_path):
     run("gen", "--kind", "complete", "--n", 30, "--weights", "1:1000", "--seed", 4,
         "-o", g)
     assert run("simulate", "--graph", g, "--f", 1, "--k", 3, "--seed", 2,
-               "--ck", 1, "--cs", 4, "-o", r1) == 0
+               "--ck", 1, "-o", r1) == 0
     assert run("build", "--graph", g, "--f", 1, "--k", 3, "--seed", 2,
-               "--ck", 1, "--cs", 4, "-o", r2) == 0
+               "--ck", 1, "-o", r2) == 0
     sim = SpannerResult.from_json(r1.read_text())
     seq = SpannerResult.from_json(r2.read_text())
     assert seq.edge_count < seq.m
@@ -272,49 +275,59 @@ def test_report_missing_file():
 
 
 _INSTANCE = {"ground": list(range(4)), "sets": [[0, 1]], "delta": 1.0}
+_DROP = object()  # a result_text value that removes the field
 
 
-@pytest.mark.parametrize("argv, result_text, spec", [
-    (("build", "--graph", "DIR", "--f", 1), None, _INSTANCE),
-    (("verify", "--graph", "G", "--result", "DIR"), None, _INSTANCE),
-    (("hitting-set", "--instance", "DIR"), None, _INSTANCE),
-    (("report", "--result", "R"), "[1, 2]", _INSTANCE),
-    (("verify", "--graph", "G", "--result", "R"), "[1, 2]", _INSTANCE),
-    (("verify", "--graph", "G", "--result", "R"), {"edges": 5}, _INSTANCE),
-    (("report", "--result", "R"), {"trace": [1]}, _INSTANCE),
-    (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "ground": 5}),
-    (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "sets": [0, 1]}),
-    (("hitting-set", "--instance", "INST"), None, [_INSTANCE]),
-    (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "delta": [1]}),
-    (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "delta": math.nan}),
-    (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "delta": 1, "c": math.nan}),
-    (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "beta": math.inf}),
-    (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "beta": 1.7}),
-    (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "beta": 2.0}),
-    (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "ground": [[0], 1]}),
+@pytest.mark.parametrize("argv, result_text, spec, need", [
+    (("build", "--graph", "DIR", "--f", 1), None, _INSTANCE, ""),
+    (("verify", "--graph", "G", "--result", "DIR"), None, _INSTANCE, ""),
+    (("hitting-set", "--instance", "DIR"), None, _INSTANCE, ""),
+    (("report", "--result", "R"), "[1, 2]", _INSTANCE, ""),
+    (("verify", "--graph", "G", "--result", "R"), "[1, 2]", _INSTANCE, ""),
+    (("verify", "--graph", "G", "--result", "R"), {"edges": 5}, _INSTANCE, ""),
+    (("report", "--result", "R"), {"trace": [1]}, _INSTANCE, ""),
+    (("report", "--result", "R"), {"algo": _DROP}, _INSTANCE, "'algo'"),
+    (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "ground": 5}, ""),
+    (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "sets": [0, 1]}, ""),
+    (("hitting-set", "--instance", "INST"), None, [_INSTANCE], ""),
+    (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "delta": [1]}, ""),
+    (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "delta": math.nan}, ""),
     (("hitting-set", "--instance", "INST"), None,
-     {**_INSTANCE, "ground": [0, "a"], "sets": [[0, "a"]]}),
+     {**_INSTANCE, "delta": 1, "c": math.nan}, ""),
+    (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "beta": math.inf}, ""),
+    (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "beta": 1.7}, ""),
+    (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "beta": 2.0}, ""),
+    (("hitting-set", "--instance", "INST"), None,
+     {**_INSTANCE, "ground": [[0], 1]}, ""),
+    (("hitting-set", "--instance", "INST"), None,
+     {**_INSTANCE, "ground": [0, "a"], "sets": [[0, "a"]]}, ""),
+    (("hitting-set", "--instance", "INST"), None,
+     {"ground": [0, 1], "sets": [[0, 1]]}, "'delta'"),
 ], ids=["graph-is-directory", "result-is-directory", "instance-is-directory",
         "report-result-not-object", "verify-result-not-object",
-        "verify-edges-not-list", "report-trace-not-objects",
+        "verify-edges-not-list", "report-trace-not-objects", "result-no-algo",
         "instance-ground-not-list", "instance-sets-not-lists",
         "instance-not-object", "instance-delta-not-number",
         "instance-delta-nan", "instance-c-nan", "instance-beta-inf",
         "instance-beta-fraction", "instance-beta-float",
-        "instance-ground-not-scalars", "instance-ground-mixed-kinds"])
-def test_bad_input_files_exit_2(tmp_path, capsys, argv, result_text, spec):
-    """result_text replaces the built result file; a dict replaces fields of it."""
+        "instance-ground-not-scalars", "instance-ground-mixed-kinds",
+        "instance-no-delta"])
+def test_bad_input_files_exit_2(tmp_path, capsys, argv, result_text, spec, need):
+    """result_text replaces the built result file; a dict replaces fields of
+    it (and _DROP removes one). need: text the error must contain."""
     files = {"DIR": tmp_path, "G": tmp_path / "g.txt", "R": tmp_path / "r.json",
              "INST": tmp_path / "inst.json"}
     run("gen", "--kind", "cycle", "--n", 6, "-o", files["G"])
     run("build", "--graph", files["G"], "--f", 1, "--k", 2, "-o", files["R"])
     if isinstance(result_text, dict):
-        result_text = json.dumps({**json.loads(files["R"].read_text()), **result_text})
+        fields = {**json.loads(files["R"].read_text()), **result_text}
+        result_text = json.dumps({k: v for k, v in fields.items() if v is not _DROP})
     if result_text is not None:
         files["R"].write_text(result_text)
     files["INST"].write_text(json.dumps(spec))
     assert run(*(files.get(a, a) for a in argv)) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and need in err
 
 
 def test_hitting_set_command(tmp_path, capsys):
@@ -338,6 +351,32 @@ def test_readme_cli_block_parses():
     subcommands = next(a for a in parser._actions
                        if isinstance(a, argparse._SubParsersAction)).choices
     assert shown == set(subcommands)
+
+
+# subcommand -> its flags, one entry per option; a new flag is a reviewed
+# edit of this table
+_CLI_FLAGS = {
+    "gen": ["--kind", "--n", "--p", "--d", "--rows", "--cols", "--weights",
+            "--seed", "-o/--out"],
+    "build": ["--graph", "--algo", "--f", "--k", "--variant", "--mis", "--seed",
+              "--ck", "-o/--out"],
+    "verify": ["--graph", "--result", "--f", "--k", "-o/--out"],
+    "certificate": ["--graph", "--lam", "--seed", "--ck", "--check", "-o/--out"],
+    "simulate": ["--graph", "--f", "--k", "--seed", "--cb", "--ck", "--dump-log",
+                 "-o/--out"],
+    "hitting-set": ["--instance", "-o/--out"],
+    "report": ["--result", "--tsv", "-o/--out"],
+}
+
+
+def test_cli_flag_inventory():
+    subcommands = next(a for a in make_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+    flags = {name: ["/".join(a.option_strings) for a in p._actions
+                    if not isinstance(a, argparse._HelpAction)]
+             for name, p in subcommands.items()}
+    assert flags == _CLI_FLAGS
+    assert sum(map(len, flags.values())) == 42
 
 
 def test_usage_error_exit_2(tmp_path):

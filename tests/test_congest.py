@@ -10,21 +10,25 @@ from ftspanner.meta import build_ft_spanner
 
 
 def test_network_bandwidth_enforced():
+    # a message one bit over B goes out as two chunks: B bits, then 1
     g = generate("cycle", n=4)
-    net = Network(g, c_b=4)
-    with pytest.raises(BandwidthExceeded):
-        net.transmit([(0, (1,), ((net.B + 1, "x"),), (None,))])
+    net = Network(g, c_b=4, record_messages=True)
+    net.transmit("x", [(0, (1,), net.B + 1, (None,))])
+    assert net.log == [(1, (0, 1), net.B, "x"), (2, (0, 1), 1, "x")]
+    assert net.max_bits == net.B
 
 
 def test_network_chunking_and_stats():
     g = generate("cycle", n=4)
-    net = Network(g, c_b=4)
-    q = net.queue(3 * net.B + 1, "x")
-    assert len(q) == 4
-    inbox, rounds = net.transmit([(0, (1,), q, ("payload",))])
+    net = Network(g, c_b=4, record_messages=True)
+    bits = 3 * net.B + 1
+    inbox, rounds = net.transmit("x", [(0, (1,), bits, ("payload",))])
     assert rounds == 4 and net.round == 4
     assert inbox == {1: {0: "payload"}}
     assert net.max_bits == net.B and net.messages == 4
+    assert net.bits_total == bits
+    assert [b for _, _, b, _ in net.log] == [net.B, net.B, net.B, 1]
+    assert net.tags == {"x": {"rounds": rounds, "messages": 4, "bits": bits}}
 
 
 def test_network_rejects_bandwidth_below_one():

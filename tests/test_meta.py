@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import edge_id
 from ftspanner import meta
 from ftspanner.congest import simulate_distributed_spanner
 from ftspanner.detkit import build_ft_spanner_det
@@ -138,7 +139,7 @@ def _random_path(g, rng, tail, hops):
     verts = rng.sample([x for x in range(g.n) if x != tail], hops) + [tail]
     p = Path.trivial(verts[0])
     for a, b in zip(verts, verts[1:]):
-        eid = g.edge_id(a, b)
+        eid = edge_id(g, a, b)
         p = p.extend(b, eid, g.key(eid))
     return p
 
@@ -356,7 +357,7 @@ def test_remaining_edges_shrink_and_stay_clustered():
     for prev, cur in zip(res.states, res.states[1:]):
         assert cur.remaining <= prev.remaining
         for eid in cur.remaining:
-            u, v = g.endpoints(eid)
+            u, v, _ = g.edges[eid]
             assert u in cur.clustered and v in cur.clustered
 
 
@@ -454,7 +455,7 @@ def _fan_instance(sample_verts):
         for verts in paths:
             p = Path.trivial(verts[0])
             for a, b in zip(verts, verts[1:]):
-                eid = g.edge_id(a, b)
+                eid = edge_id(g, a, b)
                 p = p.extend(b, eid, g.key(eid))
             samples[u].append(p)
     return (Path.trivial(0),), inc_v, samples
@@ -504,7 +505,7 @@ def _k40_mod_parallel(pi_rng_fn):
     """The K40 mod-parallel build (weights 1..1000, f=1, k=3, c_k=1, seed 1)
     through run_phases, with the given permutation streams."""
     g = generate("complete", n=40, seed=1, weights=(1, 1000))
-    sample_fn, centers_fn = random_steps(g.n, 1, 3, 1, 4)
+    sample_fn, centers_fn = random_steps(g.n, 1, 3, 1)
     _, trace, _, _ = run_phases(g, 1, 3, sample_fn=sample_fn, centers_fn=centers_fn,
                                 variant="mod", c_k=1, pi_rng_fn=pi_rng_fn)
     assert trace[0].clustered == g.n and trace[1].clustered > 0
@@ -600,7 +601,7 @@ def test_collector_is_off_inside_and_restored_after(k100, name, monkeypatch):
 
 
 def test_collector_restored_after_an_error(k100):
-    sample_fn, centers_fn = random_steps(k100.n, 1, 1, 1, 4)
+    sample_fn, centers_fn = random_steps(k100.n, 1, 1, 1)
     with pytest.raises(ValueError, match="k >= 2"):
         run_phases(k100, 1, 1, sample_fn=sample_fn, centers_fn=centers_fn)
     assert gc.isenabled()
@@ -619,7 +620,7 @@ def test_no_collection_starts_in_the_phase_loop(k100):
     """Collections that start while the phase loop is on the stack; the
     one that usually follows the return, on the caller's next allocation,
     is not counted. The loop run without the pause is the control."""
-    sample_fn, centers_fn = random_steps(k100.n, 1, 3, 1, 4)
+    sample_fn, centers_fn = random_steps(k100.n, 1, 3, 1)
     loop_code = run_phases.__wrapped__.__code__
     started = []
 

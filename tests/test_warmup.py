@@ -1,5 +1,6 @@
 import math
 
+from conftest import edge_id
 from ftspanner.graphs import generate
 from ftspanner.rng import substream, vertex_stream
 from ftspanner.verify import verify_spanner
@@ -55,7 +56,7 @@ def test_light_edges_below_center_cap():
         v = int(v_str)
         cap = max((g.edges[eid][2], eid)
                   for (_, eid, x) in g.adj[v] if x in s_v
-                  for eid in [g.edge_id(v, x)])
+                  for eid in [edge_id(g, v, x)])
         for w, eid, x in g.adj[v]:
             if (w, eid) < cap:
                 assert eid in h, f"light edge {eid} at vertex {v} missing"
@@ -119,7 +120,7 @@ def _list_step_two(g, seed, c_s, detail):
         if v not in s_of:
             h_prime.update(eid for _, eid, _ in g.adj[v])
         else:
-            cap = max(g.key(g.edge_id(v, x)) for x in s_of[v])
+            cap = max(g.key(edge_id(g, v, x)) for x in s_of[v])
             h_prime.update(eid for w, eid, _ in g.adj[v] if (w, eid) <= cap)
     n_samples = max(1, c_s * math.ceil(math.log2(max(g.n, 2))))
     sampled = {}
