@@ -291,7 +291,3 @@ def main(argv=None) -> int:
             BudgetExceeded, BandwidthExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -85,9 +85,6 @@ class Graph:
     def key(self, eid: int) -> tuple[int, int]:
         return (self.edges[eid][2], eid)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def max_weight(self) -> int:
         return max((w for _, _, w in self.edges), default=1)
 

@@ -25,14 +25,10 @@ class PhaseTrace:
     remaining: int
     seconds: float = 0.0  # volatile; excluded from the JSON
 
+    FIELDS = ("phase", "centers", "clustered", "new_edges", "remaining")
+
     def to_dict(self):
-        return {
-            "phase": self.phase,
-            "centers": self.centers,
-            "clustered": self.clustered,
-            "new_edges": self.new_edges,
-            "remaining": self.remaining,
-        }
+        return {key: getattr(self, key) for key in self.FIELDS}
 
 
 @dataclass
@@ -81,11 +77,13 @@ class SpannerResult:
         if not (isinstance(traces, list)
                 and all(isinstance(t, dict) for t in traces)):
             raise ValueError("a result's 'trace' must be a list of objects")
-        trace = [
-            PhaseTrace(t["phase"], t["centers"], t["clustered"], t["new_edges"],
-                       t["remaining"])
-            for t in traces
-        ]
+        for t in traces:
+            for key in PhaseTrace.FIELDS:
+                if key not in t:
+                    raise ValueError(f"a result's trace entry has no {key!r} field")
+                if type(t[key]) is not int:
+                    raise ValueError(f"a result's trace field {key!r} must be an integer")
+        trace = [PhaseTrace(*(t[key] for key in PhaseTrace.FIELDS)) for t in traces]
         return cls(
             algo=d["algo"],
             n=d["n"],

@@ -1,15 +1,19 @@
 import argparse
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ftspanner
 from ftspanner import graphs
 from ftspanner.cli import main, make_parser
 from ftspanner.graphs import load_graph
-from ftspanner.result import SpannerResult
+from ftspanner.result import PhaseTrace, SpannerResult
 
 
 def run(*args):
@@ -43,11 +47,7 @@ def test_verify_failure_exit_code(tmp_path):
     r = tmp_path / "r.json"
     run("gen", "--kind", "cycle", "--n", 6, "-o", g)
     graph = load_graph(g.read_text())
-    heaviest = max(range(graph.m), key=graph.key)
-    res = SpannerResult(algo="manual", n=graph.n, m=graph.m,
-                        graph_sha=graph.sha(), params={},
-                        edges=tuple(e for e in range(graph.m) if e != heaviest))
-    r.write_text(res.to_json())
+    r.write_text(_manual_result(graph, _all_but_heaviest(graph)).to_json())
     assert run("verify", "--graph", g, "--result", r, "--f", 0, "--k", 2) == 1
 
 
@@ -56,14 +56,21 @@ def _manual_result(graph, edges):
                          graph_sha=graph.sha(), params={}, edges=tuple(edges))
 
 
+def _all_but_heaviest(graph):
+    heaviest = max(range(graph.m), key=graph.key)
+    return [e for e in range(graph.m) if e != heaviest]
+
+
+def _star_at_0(graph):
+    return [e for e, (u, v, _) in enumerate(graph.edges) if 0 in (u, v)]
+
+
 def test_verify_without_f_k_exits_2(tmp_path, capsys):
     g = tmp_path / "g.txt"
     dropped, full = tmp_path / "dropped.json", tmp_path / "full.json"
     run("gen", "--kind", "cycle", "--n", 6, "-o", g)
     graph = load_graph(g.read_text())
-    heaviest = max(range(graph.m), key=graph.key)
-    dropped.write_text(_manual_result(
-        graph, (e for e in range(graph.m) if e != heaviest)).to_json())
+    dropped.write_text(_manual_result(graph, _all_but_heaviest(graph)).to_json())
     full.write_text(_manual_result(graph, range(graph.m)).to_json())
     for r in (dropped, full):
         capsys.readouterr()
@@ -73,6 +80,89 @@ def test_verify_without_f_k_exits_2(tmp_path, capsys):
         assert "no params.k; pass --k" in capsys.readouterr().err
     # A PASS on H = G must come from given parameters, never from null ones.
     assert run("verify", "--graph", g, "--result", full, "--f", 1, "--k", 2) == 0
+
+
+def _rows(name, gen, cmd, seeds=(0,), code=0, drops=False, subgraph=None):
+    """One row per seed. The graph is `gen` at seed 1000 + seed; a build or
+    certificate takes the seed itself. `subgraph` picks H's edges in place of
+    a build. drops: H keeps fewer than m edges."""
+    return [pytest.param(gen, seed, cmd, subgraph, code, drops, id=f"{name}-{seed}")
+            for seed in seeds]
+
+
+_GNP34 = ("--kind", "gnp", "--n", 34, "--p", 0.5)
+_TREE30 = ("--kind", "tree", "--n", 30)
+
+_CLI_CASES = [
+    *_rows("gnp24-meta-seq", ("--kind", "gnp", "--n", 24, "--p", 0.3),
+           ("build", "--algo", "meta", "--f", 2, "--k", 2, "--ck", 20), seeds=(0, 1)),
+    *_rows("gnp30-meta-mod",
+           ("--kind", "gnp", "--n", 30, "--p", 0.4, "--weights", "1:100"),
+           ("build", "--algo", "meta", "--variant", "mod", "--f", 1, "--k", 3,
+            "--ck", 20), seeds=(0, 1)),
+    *_rows("gnp40-warmup", ("--kind", "gnp", "--n", 40, "--p", 0.25),
+           ("build", "--algo", "warmup", "--f", 1, "--k", 2, "--ck", 20),
+           seeds=(0, 1)),
+    *_rows("regular30-meta-det", ("--kind", "random-regular", "--n", 30, "--d", 6),
+           ("build", "--algo", "meta-det", "--f", 2, "--k", 3, "--ck", 20)),
+    *_rows("grid6x6-meta-seq",
+           ("--kind", "grid", "--rows", 6, "--cols", 6, "--weights", "1:9"),
+           ("build", "--algo", "meta", "--f", 2, "--k", 2, "--ck", 20)),
+    *_rows("k15-warmup", ("--kind", "complete", "--n", 15, "--weights", "1:50"),
+           ("build", "--algo", "warmup", "--f", 2, "--k", 2, "--ck", 20),
+           seeds=(0, 1)),
+    *_rows("c20-meta-seq", ("--kind", "cycle", "--n", 20),
+           ("build", "--algo", "meta", "--f", 1, "--k", 2, "--ck", 20)),
+    *_rows("tree-warmup", _TREE30,
+           ("build", "--algo", "warmup", "--f", 1, "--k", 2, "--ck", 20)),
+    *_rows("tree-meta", _TREE30,
+           ("build", "--algo", "meta", "--f", 1, "--k", 2, "--ck", 20)),
+    *_rows("tree-det", _TREE30,
+           ("build", "--algo", "meta-det", "--f", 1, "--k", 2, "--ck", 20)),
+    *_rows("clustered-meta-seq", _GNP34,
+           ("build", "--algo", "meta", "--f", 1, "--k", 2, "--ck", 1),
+           seeds=(0, 1), drops=True),
+    *_rows("clustered-meta-mod", _GNP34,
+           ("build", "--algo", "meta", "--variant", "mod", "--f", 1, "--k", 3,
+            "--ck", 1), seeds=(0, 1), drops=True),
+    # det clusters only where a degree reaches det_cluster_threshold (72 at
+    # f=1, k=4, c_k=1), hence K80; the n=30 det rows keep every edge
+    *_rows("k80-meta-det-ck1", ("--kind", "complete", "--n", 80),
+           ("build", "--algo", "meta-det", "--f", 1, "--k", 4, "--ck", 1),
+           drops=True),
+    *_rows("gnp25-certificate", ("--kind", "gnp", "--n", 25, "--p", 0.5),
+           ("certificate", "--lam", 3, "--ck", 20, "--check")),
+    *_rows("k30-certificate-ck1", ("--kind", "complete", "--n", 30),
+           ("certificate", "--lam", 3, "--ck", 1, "--check"), seeds=(0, 1),
+           drops=True),
+    *_rows("cycle-minus-heaviest", ("--kind", "cycle", "--n", 6),
+           ("verify", "--f", 0, "--k", 2), code=1, drops=True,
+           subgraph=_all_but_heaviest),
+    *_rows("star-of-k4-not-a-certificate", ("--kind", "complete", "--n", 4),
+           ("verify", "--f", 1, "--k", 2), code=1, drops=True,
+           subgraph=_star_at_0),
+]
+
+
+@pytest.mark.parametrize("gen, seed, cmd, subgraph, code, drops", _CLI_CASES)
+def test_cli_case(tmp_path, gen, seed, cmd, subgraph, code, drops):
+    """A build is verified exhaustively, a certificate checks itself, and a
+    named subgraph is verified at the row's f and k; the exit code is 0 for
+    pass and 1 for fail."""
+    g, r = tmp_path / "g.txt", tmp_path / "r.json"
+    assert run("gen", *gen, "--seed", 1000 + seed, "-o", g) == 0
+    if subgraph:
+        graph = load_graph(g.read_text())
+        r.write_text(_manual_result(graph, subgraph(graph)).to_json())
+        got = run(*cmd, "--graph", g, "--result", r)
+    else:
+        got = run(*cmd, "--graph", g, "--seed", seed, "-o", r)
+        if cmd[0] == "build":
+            assert got == 0
+            got = run("verify", "--graph", g, "--result", r)
+    assert got == code
+    res = SpannerResult.from_json(r.read_text())
+    assert (res.edge_count < res.m) == drops
 
 
 @pytest.mark.parametrize("flags, value", [
@@ -287,6 +377,11 @@ _DROP = object()  # a result_text value that removes the field
     (("verify", "--graph", "G", "--result", "R"), {"edges": 5}, _INSTANCE, ""),
     (("report", "--result", "R"), {"trace": [1]}, _INSTANCE, ""),
     (("report", "--result", "R"), {"algo": _DROP}, _INSTANCE, "'algo'"),
+    (("report", "--result", "R"), {"trace": [{"phase": 1}]}, _INSTANCE,
+     "no 'centers' field"),
+    (("report", "--result", "R"),
+     {"trace": [{**dict.fromkeys(PhaseTrace.FIELDS, 0), "centers": "x"}]},
+     _INSTANCE, "'centers' must be an integer"),
     (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "ground": 5}, ""),
     (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "sets": [0, 1]}, ""),
     (("hitting-set", "--instance", "INST"), None, [_INSTANCE], ""),
@@ -306,6 +401,7 @@ _DROP = object()  # a result_text value that removes the field
 ], ids=["graph-is-directory", "result-is-directory", "instance-is-directory",
         "report-result-not-object", "verify-result-not-object",
         "verify-edges-not-list", "report-trace-not-objects", "result-no-algo",
+        "trace-entry-no-field", "trace-field-not-integer",
         "instance-ground-not-list", "instance-sets-not-lists",
         "instance-not-object", "instance-delta-not-number",
         "instance-delta-nan", "instance-c-nan", "instance-beta-inf",
@@ -377,6 +473,17 @@ def test_cli_flag_inventory():
              for name, p in subcommands.items()}
     assert flags == _CLI_FLAGS
     assert sum(map(len, flags.values())) == 42
+
+
+def test_module_entry_point(tmp_path):
+    root = Path(ftspanner.__file__).resolve().parent.parent
+    path = [str(root), *filter(None, [os.environ.get("PYTHONPATH")])]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ftspanner", "gen", "--kind", "cycle", "--n", "4"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert load_graph(proc.stdout).m == 4
 
 
 def test_usage_error_exit_2(tmp_path):
