@@ -1,6 +1,6 @@
 import gc
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -38,6 +38,24 @@ def protected_direct(h: Graph, u: int, v: int, w: int, f: int, i: int) -> bool:
             if dist(h, u, v, fault) > bound:
                 return False
     return True
+
+
+def pg_blowup(q: int, r: int) -> Graph:
+    """The point-line incidence graph of the projective plane PG(2, q), q
+    prime (girth 6), with every vertex replaced by r copies and every edge
+    by the complete bipartite graph between the copies; unit weights.
+    Points are the triples over Z_q whose first nonzero entry is 1, in
+    lexicographic order, and the lines are named by the same triples; a
+    point lies on a line when their dot product is 0 mod q. Vertex x (the
+    points, then the lines) has copies x*r .. x*r + r-1."""
+    triples = [t for t in product(range(q), repeat=3)
+               if any(t) and next(a for a in t if a) == 1]
+    n = len(triples)
+    edges = [(p * r + a, (n + l) * r + b, 1)
+             for p, pt in enumerate(triples) for l, ln in enumerate(triples)
+             if sum(x * y for x, y in zip(pt, ln)) % q == 0
+             for a in range(r) for b in range(r)]
+    return Graph(2 * n * r, edges)
 
 
 def certificate_direct(g: Graph, h_ids, lam: int):

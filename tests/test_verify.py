@@ -1,11 +1,12 @@
+import hashlib
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import certificate_direct, protected_direct, small_random_graph
-from ftspanner import verify
+from conftest import certificate_direct, pg_blowup, protected_direct, small_random_graph
+from ftspanner import meta, verify
 from ftspanner.graphs import Graph, dist, generate
 from ftspanner.meta import build_ft_spanner
 from ftspanner.rng import substream
@@ -232,6 +233,28 @@ def test_exhaustive_check_at_clustering_scale():
     rep = verify_spanner(g, [e for e in res.edges if e != lightest], 1, 3)
     assert not rep.passed
     assert g.edges[lightest][:2] in {edge for edge, _, _, _ in rep.violations}
+
+
+PG_ONE_HIT_REPORT_SHA = "cb45e7244c0f39ffefcdd54abec4847ed5fbcd6d2265377e697afce02980d8f5"
+
+
+def test_one_hit_mutant_fails_on_pg_blowup(monkeypatch):
+    # The 3-fold blow-up of PG(2, 5) at f=2, k=2, c_k=1 kills the mutant
+    # whose choose_cluster stops at 1 hit instead of K_f. Each violation's
+    # fault set must break the bound, and the report is pinned.
+    g = pg_blowup(5, 3)
+    assert (g.n, g.m) == (186, 1674)
+    real = meta.choose_cluster
+    monkeypatch.setattr(meta, "choose_cluster", lambda entries, head, k_f: real(entries, head, 1))
+    res = build_ft_spanner(g, 2, 2, seed=1, c_k=1)
+    assert res.edge_count == 1536
+    rep = verify_spanner(g, res.edges, 2, 2)
+    assert not rep.passed and len(rep.violations) == 72
+    h = Graph(g.n, [g.edges[e] for e in res.edges])
+    for (u, v), faults, d, bound in rep.violations:
+        assert u not in faults and v not in faults and len(faults) <= 2
+        assert dist(h, u, v, faults) == d > bound
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == PG_ONE_HIT_REPORT_SHA
 
 
 @pytest.mark.parametrize("f, k, value", [
