@@ -61,26 +61,27 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _build(g: Graph, algo: str, f: int, k: int, seed, variant: str,
-           mis: str, c_k: int) -> SpannerResult:
+# --algo name -> build_ft_spanner's (variant, mis)
+_META = {"meta-seq": ("seq", "greedy"), "meta-mod": ("mod", "greedy"),
+         "meta-mod-parallel": ("mod", "parallel")}
+
+
+def _build(g: Graph, algo: str, f: int, k: int, seed, c_k: int) -> SpannerResult:
     if algo == "warmup":
         if k != 2:
             raise ValueError("the warmup build is defined for k = 2 only")
         res = build_3spanner(g, f, seed=seed)
         res.extras["size_report"] = warmup_size_report(res)
         return res
-    if algo == "meta":
-        return build_ft_spanner(g, f, k, seed=seed, variant=variant,
-                                c_k=c_k, mis=mis)
     if algo == "meta-det":
         return build_ft_spanner_det(g, f, k, c_k=c_k)
-    raise ValueError(f"unknown algo {algo!r}")
+    variant, mis = _META[algo]
+    return build_ft_spanner(g, f, k, seed=seed, variant=variant, c_k=c_k, mis=mis)
 
 
 def cmd_build(args) -> int:
     g = _read_graph(args.graph)
-    res = _build(g, args.algo, args.f, args.k, args.seed, args.variant,
-                 args.mis, args.ck)
+    res = _build(g, args.algo, args.f, args.k, args.seed, args.ck)
     _write(res.to_json(), args.out)
     return 0
 
@@ -230,11 +231,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="build a fault-tolerant spanner")
     p.add_argument("--graph", required=True)
-    p.add_argument("--algo", default="meta", choices=["warmup", "meta", "meta-det"])
+    p.add_argument("--algo", default="meta-seq", choices=["warmup", *_META, "meta-det"])
     p.add_argument("--f", type=int, required=True)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--variant", default="seq", choices=["seq", "mod"])
-    p.add_argument("--mis", default="greedy", choices=["greedy", "parallel"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ck", type=int, default=20)
     p.add_argument("-o", "--out")

@@ -12,23 +12,26 @@ matter, so the fault sets in question are the maximum-size ones inside the
 C(|relevant|, f) of them, and that count is what the report covers.
 Rather than search each one, the check branches on short paths: at a
 node F (starting from the empty set) it finds one shortest u-v path of
-length <= bound avoiding F. With none, the edge is violated;
-otherwise, if |F| < f, it branches on F plus each interior vertex of that
-path. The tree is exact. Every node F is a subset of some maximum-size
-fault set, and faulting never shortens a distance, so no node exceeds the
+length <= bound avoiding F. With none, the edge is violated and F is the
+witness; otherwise, if |F| < f, it branches on F plus each interior
+vertex of that path. The tree is exact. Every node F is a subset of some
+maximum-size fault set, and faulting never shortens a distance, so a
+violated node means a violated maximum-size set, and no node exceeds the
 enumeration's worst distance. Conversely, for any fault set F*, walk down
 from the root: a node whose path F* misses has d(F*) = d(node), since the
 path survives and F* contains the node; a node whose path F* hits has a
 child that is still a subset of F*. So the tree's worst distance is the
-enumeration's. An edge found violated is then enumerated literally, so the
-report lists every violating fault set. Both checks are cross-checked in
-the tests against a definition-unrolled scan.
+enumeration's, and it finds a violation iff one exists. A violated edge
+is reported once, with the first violated node as its fault set (at most
+f vertices, possibly fewer) and that set's unbounded distance as its
+stretch. The check is cross-checked in the tests against a
+definition-unrolled scan.
 
-Cap: the cap limits path searches, one per _dist_avoid call made for an
-edge: the branch searches, the literal enumeration of a violated edge,
-and the unbounded distance a violation reports. The shared maps below
-are not charged. Each search is charged before it is made, so a
-verification that would need more than cap searches raises
+Cap: DEFAULT_CAP, read at each call, limits path searches, one per
+_dist_avoid call made for an edge: the branch searches, and for a
+violated edge one more, the unbounded distance of its witness. The
+shared maps below are not charged. Each search is charged before it is
+made, so a verification that would need more than the cap raises
 BudgetExceeded at the first search beyond it, even inside one edge.
 
 Shared maps: the relevant set and the root path come from capped
@@ -47,7 +50,9 @@ is consistent, and the first pop of v gives the exact distance. A vertex
 whose sum exceeds the bound, or which v's map does not reach, lies on no
 u-v path within the bound and is skipped. On ties the path found may
 differ from plain Dijkstra's, but the argument above holds for any
-shortest path, so verdicts, worst ratios and reports do not change.
+shortest path, so verdicts, fault-set counts and the worst ratios of
+protected edges do not change; a violated edge's witness is the first
+violated node of the tree that this search builds.
 
 Certificates: h is a lam-certificate of g when, for every fault set F of
 fewer than lam vertices, h minus F has the components of g minus F. Those
@@ -66,7 +71,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import combinations
 from math import comb
 
 from ftspanner.graphs import Graph
@@ -184,24 +188,27 @@ def _dist_avoid(adj, u: int, v: int, dead: frozenset, cutoff=INF, goal=None):
 
 def _relevant(mu, mv, u, v, bound):
     """From the capped maps (distances, parents) of u and v, each taken at a
-    cutoff >= bound: the u-v distance, the sorted vertices other than u, v
-    that lie on some u-v path of length <= bound, and the interior of one
-    shortest u-v path (INF and () if the distance exceeds bound)."""
+    cutoff >= bound: the u-v distance, the number of vertices other than
+    u, v that lie on some u-v path of length <= bound, and the interior of
+    one shortest u-v path (INF and () if the distance exceeds bound)."""
     du, parent = mu
     dv, _ = mv
-    relevant = sorted(x for x, d in du.items()
-                      if x != u and x != v and d + dv.get(x, INF) <= bound)
+    relevant = sum(1 for x, d in du.items()
+                   if x != u and x != v and d + dv.get(x, INF) <= bound)
     if du.get(v, INF) > bound:
         return INF, relevant, ()
     return du[v], relevant, _interior(parent, u, v)
 
 
 def _branch(adj, u, v, w, bound, k_eff, base, interior, goal, budget):
-    """The branching check, from a shortest u-v path of length base <= bound
-    and the given interior: each fault set of up to k_eff vertices is
-    extended by each interior vertex of its own short path, found by A*
-    toward v with goal = v's fault-free distances. Each search is charged
-    to budget. Returns (ok, worst_ratio); worst_ratio is INF if not ok."""
+    """The branching check, from the u-v distance base and the interior of
+    one shortest path: each fault set of up to k_eff vertices is extended
+    by each interior vertex of its own short path, found by A* toward v
+    with goal = v's fault-free distances. Each search is charged to budget.
+    Returns (worst_ratio, None) if the edge is protected, else (None, F)
+    with F the first node whose distance exceeds bound."""
+    if base > bound:
+        return None, frozenset()
     worst = base
     seen = set()
     stack = [(frozenset(), interior)] if k_eff else []
@@ -215,56 +222,30 @@ def _branch(adj, u, v, w, bound, k_eff, base, interior, goal, budget):
             budget.charge()
             d, sub = _dist_avoid(adj, u, v, child, bound, goal)
             if d > bound:
-                return False, INF
+                return None, child
             worst = max(worst, d)
             if len(child) < k_eff:
                 stack.append((child, sub))
-    return True, worst / w
+    return worst / w, None
 
 
-def _enumerate(adj, u, v, w, bound, base, relevant, k_eff, budget):
-    """The literal scan: one search per k_eff-subset of relevant, and one
-    more per violation for its unbounded distance, each charged to budget.
-    Returns (ok, worst_ratio, violations)."""
-    worst = base / w
-    ok = True
-    violations = []
-    for fault in combinations(relevant, k_eff):
-        dead = frozenset(fault)
-        budget.charge()
-        d, _ = _dist_avoid(adj, u, v, dead, bound)
-        if d > bound:
-            budget.charge()
-            actual, _ = _dist_avoid(adj, u, v, dead)
-            ok = False
-            violations.append((fault, actual, bound))
-            worst = max(worst, actual / w if actual < INF else INF)
-        else:
-            worst = max(worst, d / w)
-    return ok, worst, violations
-
-
-def _protection_scan(adj, mu, mv, u, v, w, f, i, budget, collect):
+def _protection_scan(adj, mu, mv, u, v, w, f, i, budget):
     """Decide protection of (u,v) from the capped maps mu, mv of u and v,
     each taken at a cutoff >= (2i-1)w, charging each path search to
-    budget. Returns (ok, worst_ratio, violations, fault_sets covered);
-    violations are collected only if collect."""
+    budget. Returns (worst_ratio, violation, fault_sets covered);
+    violation is None, or (F, its u-v distance, bound) for the witness F."""
     bound = (2 * i - 1) * w
     base, relevant, interior = _relevant(mu, mv, u, v, bound)
-    if base > bound:
+    # base > bound leaves no vertex relevant, so the one set counted is {}
+    k_eff = min(f, relevant)
+    worst, dead = _branch(adj, u, v, w, bound, k_eff, base, interior, mv[0], budget)
+    violation = None
+    if dead is not None:
         budget.charge()
-        actual, _ = _dist_avoid(adj, u, v, frozenset())
-        return False, (actual / w if actual < INF else INF), [((), actual, bound)], 1
-    k_eff = min(f, len(relevant))
-    if k_eff == 0:
-        return True, base / w, [], 1
-    todo = comb(len(relevant), k_eff)
-    ok, worst = _branch(adj, u, v, w, bound, k_eff, base, interior, mv[0], budget)
-    if ok or not collect:
-        return ok, worst, [], todo
-    ok, worst, violations = _enumerate(adj, u, v, w, bound, base, relevant, k_eff,
-                                       budget)
-    return ok, worst, violations, todo
+        actual, _ = _dist_avoid(adj, u, v, dead)
+        worst = actual / w if actual < INF else INF
+        violation = (tuple(sorted(dead)), actual, bound)
+    return worst, violation, comb(relevant, k_eff)
 
 
 def _check_params(f, k):
@@ -274,17 +255,16 @@ def _check_params(f, k):
         raise ValueError(f"need k >= 1, got k={k}")
 
 
-def is_protected(h: Graph, u: int, v: int, w: int, f: int, i: int,
-                 cap: int = DEFAULT_CAP) -> bool:
+def is_protected(h: Graph, u: int, v: int, w: int, f: int, i: int) -> bool:
     """Exhaustively decide protection of the edge (u,v) of weight w in h."""
     if u == v:
         raise ValueError("edge endpoints must differ")
     _check_params(f, i)
     adj = _subgraph_adj(h, range(h.m))
     bound = (2 * i - 1) * w
-    ok, _, _, _ = _protection_scan(adj, _sssp_upto(adj, u, bound), _sssp_upto(adj, v, bound),
-                                   u, v, w, f, i, _Budget(cap), collect=False)
-    return ok
+    _, violation, _ = _protection_scan(adj, _sssp_upto(adj, u, bound), _sssp_upto(adj, v, bound),
+                                       u, v, w, f, i, _Budget(DEFAULT_CAP))
+    return violation is None
 
 
 @dataclass
@@ -322,21 +302,20 @@ class VerificationReport:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def verify_spanner(g: Graph, h, f: int, k: int,
-                   cap: int = DEFAULT_CAP) -> VerificationReport:
+def verify_spanner(g: Graph, h, f: int, k: int) -> VerificationReport:
     """Check the fault-tolerant stretch guarantee of h, an iterable of g's
     edge ids, against g.
 
     Checks per-edge protection for every edge of g, which is sufficient
     for the spanner property: a shortest path in g minus F is a
     concatenation of protected edges. Raises BudgetExceeded at the path
-    search that would exceed cap.
+    search that would exceed DEFAULT_CAP.
     """
     _check_params(f, k)
     h_ids = _normalize_subgraph(g, h)
     h_adj = _subgraph_adj(g, h_ids)
     report = VerificationReport(f=f, k=k)
-    budget = _Budget(cap)
+    budget = _Budget(DEFAULT_CAP)
     # One capped map per vertex with a dropped edge, at the largest bound
     # over those edges, freed after the last of them.
     cutoff, last, maps = {}, {}, {}
@@ -354,18 +333,17 @@ def verify_spanner(g: Graph, h, f: int, k: int,
         for x in (u, v):
             if x not in maps:
                 maps[x] = _sssp_upto(h_adj, x, cutoff[x])
-        ok, worst, viols, fault_sets = _protection_scan(
-            h_adj, maps[u], maps[v], u, v, w, f, k, budget, collect=True)
+        worst, violation, fault_sets = _protection_scan(
+            h_adj, maps[u], maps[v], u, v, w, f, k, budget)
         for x in (u, v):
             if last[x] == eid:
                 del maps[x]
         report.fault_sets += fault_sets
         report.per_edge[eid] = worst
         report.worst_stretch = max(report.worst_stretch, worst)
-        if not ok:
+        if violation is not None:
             report.passed = False
-            for fault, d, bnd in viols:
-                report.violations.append(((u, v), tuple(fault), d, bnd))
+            report.violations.append(((u, v), *violation))
     return report
 
 

@@ -25,19 +25,20 @@ def small_random_graph(seed: int, n_max: int = 10, weighted: bool = True) -> Gra
     return Graph(n, edges)
 
 
-def protected_direct(h: Graph, u: int, v: int, w: int, f: int, i: int) -> bool:
-    """Definition-unrolled protection check: literally every fault set of
-    every size up to f, distances via the graph-core dist. Kept naive on
-    purpose; the verifier's pruned enumeration is compared against it."""
-    bound = (2 * i - 1) * w
+def worst_dist_direct(h: Graph, u: int, v: int, f: int) -> float:
+    """Definition-unrolled worst u-v distance: the largest dist(h - F, u, v)
+    over literally every fault set F of every size up to f avoiding u and
+    v, distances via the graph-core dist. Kept naive on purpose; the
+    verifier's branching check is compared against it."""
     others = [x for x in range(h.n) if x != u and x != v]
-    for size in range(0, f + 1):
-        if size > len(others):
-            break
-        for fault in combinations(others, size):
-            if dist(h, u, v, fault) > bound:
-                return False
-    return True
+    return max(dist(h, u, v, fault)
+               for size in range(min(f, len(others)) + 1)
+               for fault in combinations(others, size))
+
+
+def protected_direct(h: Graph, u: int, v: int, w: int, f: int, i: int) -> bool:
+    """Definition-unrolled protection check of (u,v) at stretch 2i-1."""
+    return worst_dist_direct(h, u, v, f) <= (2 * i - 1) * w
 
 
 def pg_blowup(q: int, r: int) -> Graph:

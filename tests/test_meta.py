@@ -436,6 +436,12 @@ def test_cluster_size_factor_must_be_positive():
         build_ft_spanner(g, 1, 2, c_k=0)
 
 
+def test_parallel_mis_needs_variant_mod():
+    g = generate("gnp", n=10, p=0.5, seed=0)
+    with pytest.raises(ValueError, match="need variant 'mod' for mis='parallel', got 'seq'"):
+        build_ft_spanner(g, 1, 2, mis="parallel")
+
+
 def test_zero_edge_graph():
     g = generate("gnp", n=4, p=0.0, seed=0)
     res = build_ft_spanner(g, 1, 2, seed=0)

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import certificate_direct, pg_blowup, protected_direct, small_random_graph
+from conftest import (certificate_direct, pg_blowup, protected_direct, small_random_graph,
+                      worst_dist_direct)
 from ftspanner import meta, verify
 from ftspanner.graphs import Graph, dist, generate
 from ftspanner.meta import build_ft_spanner
 from ftspanner.rng import substream
 from ftspanner.verify import (DEFAULT_CAP, BudgetExceeded, _branch, _Budget, _dist_avoid,
-                              _enumerate, _relevant, _sssp_upto, _subgraph_adj,
-                              is_protected, verify_certificate, verify_spanner)
+                              _relevant, _sssp_upto, _subgraph_adj, is_protected,
+                              verify_certificate, verify_spanner)
 
 INF = math.inf
 
@@ -48,7 +49,7 @@ def test_protection_monotone_under_edge_addition():
 
 
 def test_oracle_soundness_dual_coding():
-    # The pruned enumeration must agree with the definition-unrolled scan
+    # The branching check must agree with the definition-unrolled scan
     # on a large batch of micro instances.
     rng = substream(99, "dual")
     checked = 0
@@ -100,10 +101,11 @@ def host_cases(draw):
     return g, kept, f, i
 
 
-def test_branching_matches_enumeration():
-    # The branching check and the literal enumeration must give the same
-    # verdict and worst ratio on every edge, and is_protected must agree
-    # with the definition-unrolled scan.
+def test_branching_matches_definition():
+    # The branching check must agree on every edge with the scan of every
+    # fault set up to f: the same verdict, the same worst ratio on a
+    # protected edge, and on a violated one a witness that breaks the
+    # bound. is_protected must give the same verdict.
     verdicts = []
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -116,16 +118,16 @@ def test_branching_matches_enumeration():
             bound = (2 * i - 1) * w
             mv = _sssp_upto(adj, v, bound)
             base, relevant, interior = _relevant(_sssp_upto(adj, u, bound), mv, u, v, bound)
-            k_eff = min(f, len(relevant))
-            ok, worst = (_branch(adj, u, v, w, bound, k_eff, base, interior, mv[0],
-                                 _Budget(DEFAULT_CAP))
-                         if base <= bound else (False, INF))
-            ok_enum, worst_enum, violations = _enumerate(
-                adj, u, v, w, bound, base, relevant, k_eff, _Budget(DEFAULT_CAP))
-            assert ok == ok_enum and ok == (not violations)
+            worst, dead = _branch(adj, u, v, w, bound, min(f, relevant), base, interior,
+                                  mv[0], _Budget(DEFAULT_CAP))
+            worst_dist = worst_dist_direct(h, u, v, f)
+            ok = dead is None
+            assert ok == (worst_dist <= bound) == is_protected(h, u, v, w, f, i)
             if ok:
-                assert worst == worst_enum
-            assert is_protected(h, u, v, w, f, i) == ok == protected_direct(h, u, v, w, f, i)
+                assert worst == worst_dist / w
+            else:
+                assert u not in dead and v not in dead and len(dead) <= f
+                assert dist(h, u, v, dead) > bound
             verdicts.append((ok, base <= bound))
 
     check()
@@ -297,11 +299,12 @@ def test_verify_report_json_roundtrip(gnp30):
     assert data["passed"] is True and data["mode"] == "exhaustive"
 
 
-def test_budget_cap_refuses():
+def test_budget_cap_refuses(monkeypatch):
     g = generate("gnp", n=40, p=0.4, seed=1)
-    h = []  # empty spanner: every edge needs the full enumeration
+    h = []  # empty spanner: every edge needs a path search
+    monkeypatch.setattr(verify, "DEFAULT_CAP", 10)
     with pytest.raises(BudgetExceeded):
-        verify_spanner(g, h, 2, 2, cap=10)
+        verify_spanner(g, h, 2, 2)
 
 
 def test_budget_cap_counts_path_searches(monkeypatch):
@@ -318,14 +321,17 @@ def test_budget_cap_counts_path_searches(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(verify, "_dist_avoid", counted)
-    rep = verify_spanner(g, res.edges, 2, 2, cap=10_000)
+    monkeypatch.setattr(verify, "DEFAULT_CAP", 10_000)
+    rep = verify_spanner(g, res.edges, 2, 2)
     assert rep.passed and g.m - res.edge_count == 164
     assert rep.fault_sets == 115_292 and searches[0] == 1_802
-    assert verify_spanner(g, res.edges, 2, 2, cap=1_802).to_json() == rep.to_json()
+    monkeypatch.setattr(verify, "DEFAULT_CAP", 1_802)
+    assert verify_spanner(g, res.edges, 2, 2).to_json() == rep.to_json()
     for cap in (1_801, 1_000):
         searches[0] = 0
+        monkeypatch.setattr(verify, "DEFAULT_CAP", cap)
         with pytest.raises(BudgetExceeded, match=f"more than {cap} path searches"):
-            verify_spanner(g, res.edges, 2, 2, cap=cap)
+            verify_spanner(g, res.edges, 2, 2)
         assert searches[0] == cap
 
 
