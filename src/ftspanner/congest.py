@@ -105,6 +105,7 @@ class Network:
         self.log: list | None = [] if record_messages else None
         self.phase_starts: list[int] = []
         self.children: dict = {}  # (root, vertex) -> vertex's children in root's tree
+        self.receivers: dict = {}  # vertex -> its remaining-edge neighbors this phase
 
     def transmit(self, tag: str, sends) -> tuple[dict, int]:
         """Deliver one wave of `tag` messages.
@@ -157,8 +158,10 @@ class Network:
         """(a) Pipeline each vertex's sample list to its remaining-edge
         neighbors. Returns v -> {neighbor: the sample list v received}."""
         self.phase_starts.append(self.round)
+        # the phase's receiver lists, read again by heads and edge_state
+        self.receivers = {v: list(map(itemgetter(2), inc[v])) for v in samples}
         inbox, _ = self.transmit("paths", (
-            (v, _receivers(inc[v]), _path_stream_bits(self, s), repeat(tuple(s)))
+            (v, self.receivers[v], _path_stream_bits(self, s), repeat(s))
             for v, s in samples.items()))
         return lambda v: inbox[v]
 
@@ -173,7 +176,7 @@ class Network:
         for u, s in samples.items():
             got = received.get(u, ())
             flags = tuple(p.head in got for p in s)
-            sends.append((u, _receivers(inc[u]), len(flags) + 2, repeat(flags)))
+            sends.append((u, self.receivers[u], len(flags) + 2, repeat(flags)))
         inbox, _ = self.transmit("heads", sends)
 
         def head_test(v):
@@ -199,7 +202,7 @@ class Network:
             ok = v in thr
             # only the bought flag depends on the receiver's edge
             state = ((ok, thr.get(v), False), (ok, thr.get(v), True))
-            sends.append((v, _receivers(inc[v]), 2 + (key_bits if ok else 0) + 2,
+            sends.append((v, self.receivers[v], 2 + (key_bits if ok else 0) + 2,
                           [state[eid in le_v] for w, eid, u in inc[v]]))
         inbox, _ = self.transmit("edge-state", sends)
 
@@ -293,10 +296,6 @@ def tree_broadcast(net: Network, children: dict, roots) -> tuple[dict, int]:
         for root, child in frontier:
             received.setdefault(child, set()).add(root)
     return received, rounds
-
-
-def _receivers(inc_v) -> list:
-    return list(map(itemgetter(2), inc_v))
 
 
 def _path_stream_bits(net: Network, paths) -> int:

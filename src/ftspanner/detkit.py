@@ -137,7 +137,7 @@ def build_ft_spanner_det(g: Graph, f: int, k: int, c_k: int = 20,
         return list(qpaths)
 
     def centers_fn(i, centers, fans):
-        qualifying = [v for v in sorted(fans) if len(fans[v]) >= threshold]
+        qualifying = [v for v in sorted(fans) if len(fans[v][:threshold]) == threshold]
         if not qualifying:
             return frozenset()
         head_sets = tuple(

@@ -18,6 +18,20 @@ LocalExchange answers from the driver's own dicts for the sequential
 builds, congest.Network transmits real messages for the simulation. The
 per-vertex steps are pure functions of local data, and all randomness
 flows through per-(vertex, phase) streams.
+
+A fan hands out its entries in last_key order but builds them only as
+far as they are read (choose_cluster reads up to i_v, le_edge_ids below
+it, det's centers_fn up to its threshold). Its scan ends by two exact
+rules. Both rest on two facts: a later acceptance must be disjoint from
+`used`, the vertices of the fan so far, and `used` only grows.
+- Prefix rule. A path's last_key is the key of the edge into v from one
+  of its vertices, and a later accepted path has all its vertices
+  outside `used`. So no later entry sorts below LB, the least key of a
+  neighbor outside `used`, and every entry below LB is final.
+- Saturation rule. A phase-i candidate is a sampled cluster path of
+  phase i-1, and contains its head, a center of Z_{i-1}. So once every
+  head among v's offered samples is in `used`, no later candidate is
+  disjoint, in any scan order, and the scan stops.
 """
 
 from __future__ import annotations
@@ -26,8 +40,11 @@ import functools
 import gc
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import attrgetter
+from heapq import heappop, heappush
+from itertools import chain, compress, count
+from operator import attrgetter, itemgetter
 
 from ftspanner.graphs import Graph, Path
 from ftspanner.result import PhaseTrace, SpannerResult, meta_size_bound
@@ -49,7 +66,9 @@ class FanEntry:
     sort, the head tests, the deterministic center choice) or base.vset
     (the edge purchases). So an entry stores those, plus what rebuilds the
     paths, and builds path and orig on first access: in practice only for
-    the entries choose_cluster keeps.
+    the entries choose_cluster keeps. A Fan builds entries themselves
+    only up to where its readers stop, by the prefix and saturation
+    rules of the module docstring.
 
     base: the neighbor's sampled path, or the inherited cluster path.
     src: neighbor whose sample supplied it; None if inherited, and then
@@ -97,6 +116,46 @@ class FanEntry:
             # holding only that edge cuts orig where the owner's full map does
             self._path = shortcut(self.orig, {self.base.vertices[self.cut]: self.last_key})
         return self._path
+
+
+class Fan:
+    """An owner's fan entries in last_key order, built only as far as they
+    are read. fan[j] and fan[:n] build that prefix, so iteration builds
+    one entry per step; len and any other slice build them all."""
+
+    __slots__ = ("_done", "_scan")
+
+    def __init__(self, done: list, scan):
+        self._done = done  # the final prefix; the scan appends to it
+        self._scan = scan
+
+    def _fill(self, n=math.inf):
+        if self._scan is not None and len(self._done) < n:
+            try:
+                self._scan.send(n)
+            except StopIteration:
+                self._scan = None
+
+    def __len__(self):
+        self._fill()
+        return len(self._done)
+
+    def __getitem__(self, idx):
+        if isinstance(idx, slice):
+            n = idx.stop if idx.start is idx.step is None else None
+        else:
+            n = idx + 1 if idx >= 0 else None
+        self._fill(math.inf if n is None or n < 0 else n)
+        return self._done[idx]
+
+
+class Offer(tuple):
+    """A vertex's sample list as its neighbors receive it; heads is
+    computed once per sender, when a receiver's scan first needs it."""
+
+    @functools.cached_property
+    def heads(self) -> frozenset:
+        return frozenset(p.head for p in self)
 
 
 @dataclass
@@ -155,73 +214,113 @@ def shortcut(path: Path, edge_of: dict[int, tuple[int, int]]) -> Path:
 
 
 def build_fan(v: int, q_v, inc_v, samples, variant: str = "seq",
-              pi_rng=None) -> list[FanEntry]:
+              pi_rng=None) -> Fan:
     """Step 1 for a single vertex: maximal disjoint paths to adjacent
-    clusters, shortcut, ordered by last-edge key.
+    clusters, shortcut, ordered by last-edge key. The Fan scans only as
+    far as it is read. Entries below the least key of a neighbor outside
+    the fan are final (prefix rule), and once every offered head is in
+    the fan the scan stops (saturation rule); the module docstring
+    proves both.
 
     inc_v: remaining incident edges as (w, eid, u), ascending by (w, eid).
     samples: neighbor -> stored sample list (only entries for inc_v
     neighbors are read).
 
-    The shortcut of an accepted path is read off its vertex tuple: base's
-    vertices are the grown path's vertices but the owner, and base's tail
-    is an inc_v neighbor, so the scan always hits.
+    The scan in inc_v order accepts every disjoint candidate; as every
+    sample of u ends at u, at most one per neighbor. So seq and mod
+    without pi_rng are one scan.
 
     mod given a pi_rng ranks the candidates by a permutation drawn from
-    it and takes the lex-first MIS under it, by one scan in rank order;
-    parmis's round MIS computes the same set (acceptance 06), and the
-    PRAM depth refers to it. seq ignores pi_rng. When the candidates are
-    pairwise disjoint (always so in phase 1, where every sample is a
-    single neighbor) it accepts them all and draws nothing: the MIS
-    under any order is every candidate, the entries are sorted by
-    last_key anyway, and pi_rng is a private per-(phase, vertex) stream
-    that nothing else reads, so the output is the same.
+    it and takes the lex-first MIS under it, by one scan in rank order
+    that only saturation stops, run here in full; parmis's round MIS
+    computes the same set (acceptance 06), and the PRAM depth refers to
+    it. When the candidates are pairwise disjoint (always so in phase 1)
+    any order takes them all, so mod scans in order and draws nothing:
+    pi_rng is a private per-(phase, vertex) stream, so the output is the
+    same. seq ignores pi_rng.
     """
-    used = set()
-    for p in q_v:
-        used |= p.vset
-    entries = [FanEntry(p) for p in q_v]
-    # ordered as inc_v, so iterating it scans the edges in weight order
-    edge_of = {u: (w, eid) for (w, eid, u) in inc_v}
-
     if variant not in ("seq", "mod"):
         raise ValueError(f"unknown variant {variant!r}")
-    accepted: list[tuple[Path, tuple[int, int], int, int]] = []
     if variant == "mod" and pi_rng is not None:
-        alive = [(p, key, u, si)
-                 for u, key in edge_of.items()
-                 for si, p in enumerate(samples[u])
-                 if p.vset.isdisjoint(used)]
-        vsets = [c[0].vset for c in alive]
-        if sum(map(len, vsets)) == len(frozenset().union(*vsets)):
-            # pairwise disjoint: the MIS under any order takes them all
-            accepted = alive
-        else:
+        used = set().union(*(p.vset for p in q_v))
+        offered = list(chain.from_iterable(map(samples.__getitem__, map(itemgetter(2), inc_v))))
+        alive = list(compress(offered, map(used.isdisjoint, map(attrgetter("vset"), offered))))
+        vsets = list(map(attrgetter("vset"), alive))
+        if sum(map(len, vsets)) != len(frozenset().union(*vsets)):
             order = list(range(len(alive)))
             pi_rng.shuffle(order)
+            edge_of = {u: (w, eid) for w, eid, u in inc_v}
+            open_heads = _offered_heads(samples, inc_v) - used
+            entries = [FanEntry(p) for p in q_v]
             for t in sorted(range(len(alive)), key=order.__getitem__):
-                if vsets[t].isdisjoint(used):
-                    used |= vsets[t]
-                    accepted.append(alive[t])
-    else:
-        # seq takes at most one path per neighbor, mod every disjoint one
-        first_only = variant == "seq"
-        for u, key in edge_of.items():
-            for si, p in enumerate(samples[u]):
+                p = alive[t]
                 if p.vset.isdisjoint(used):
                     used |= p.vset
-                    accepted.append((p, key, u, si))
-                    if first_only:
+                    u = p.vertices[-1]
+                    cut, best = _lightest(p.vertices, edge_of)
+                    entries.append(FanEntry(p, u, samples[u].index(p), v, edge_of[u], cut, best))
+                    open_heads -= p.vset
+                    if not open_heads:
                         break
+            entries.sort(key=attrgetter("last_key"))
+            return Fan(entries, None)
+    done: list[FanEntry] = []
+    scan = _scan(v, q_v, inc_v, samples, done)
+    next(scan)
+    return Fan(done, scan)
 
-    for p, key, u, si in accepted:
+
+def _offered_heads(samples, inc_v) -> set:
+    """Heads of all paths offered to the owner (direct calls may offer lists)."""
+    return set().union(*[s.heads if isinstance(s, Offer) else Offer(s).heads
+                         for s in map(samples.__getitem__, map(itemgetter(2), inc_v))])
+
+
+def _scan(v, q_v, inc_v, samples, done):
+    """The scan in inc_v order behind build_fan's Fan, a generator primed
+    by one next(): each send(n) runs it until done holds n final entries,
+    or to its end. It holds done, never the Fan, so no cycle forms."""
+    want = yield
+    used = set().union(*(p.vset for p in q_v))
+    # (last_key, insertion tick, entry), ties leaving in insertion order;
+    # a sorted list is a heap
+    heap = sorted((e.last_key, t, e) for t, e in enumerate(map(FanEntry, q_v)))
+    tick = count(len(heap))
+    lo = 0  # inc_v[lo] is the lightest neighbor outside used
+    edge_of = open_heads = None
+    for w, eid, u in inc_v:
+        for si, p in enumerate(samples[u]):
+            if p.vset.isdisjoint(used):
+                break
+        else:  # u's samples all meet the fan
+            if open_heads is None:
+                open_heads = _offered_heads(samples, inc_v) - used
+            if not open_heads:
+                break
+            continue
+        used |= p.vset
         if len(p.vertices) == 1:  # base is u alone; its edge is the only hit
-            entries.append(FanEntry(p, u, si, v, key, 0, key))
+            cut, best = 0, (w, eid)
         else:
+            if edge_of is None:
+                edge_of = {x: (w, eid) for w, eid, x in inc_v}
             cut, best = _lightest(p.vertices, edge_of)
-            entries.append(FanEntry(p, u, si, v, key, cut, best))
-    entries.sort(key=attrgetter("last_key"))
-    return entries
+        heappush(heap, (best, next(tick), FanEntry(p, u, si, v, (w, eid), cut, best)))
+        if open_heads is not None:
+            open_heads -= p.vset
+            if not open_heads:
+                break
+        while lo < len(inc_v) and inc_v[lo][2] in used:
+            lo += 1
+        if lo == len(inc_v):  # every candidate holds a neighbor, now in the fan
+            break
+        # (w, eid) < (w, eid, u): an entry tied with the bound leaves too,
+        # ahead of every later one, as a stable sort places it
+        while heap and heap[0][0] < inc_v[lo]:
+            done.append(heappop(heap)[2])
+        if len(done) >= want:
+            want = yield
+    done.extend(e for _, _, e in sorted(heap))
 
 
 def choose_cluster(entries, is_sampled_head, k_f: int):
@@ -338,7 +437,7 @@ def run_phases(g: Graph, f: int, k: int, *, sample_fn, centers_fn,
     for i in range(1, k + 1):
         t0 = time.perf_counter()
         active = sorted(clustered)
-        samples = {u: sample_fn(i, u, q[u]) for u in active}
+        samples = {u: Offer(sample_fn(i, u, q[u])) for u in active}
         seen = transport.paths(samples, inc)
         fans = {}
         for v in active:
@@ -352,7 +451,7 @@ def run_phases(g: Graph, f: int, k: int, *, sample_fn, centers_fn,
         le: dict[int, list[int]] = {}
         iv_taken: list[int] = []
         for v in active:
-            entries = fans[v]
+            entries = fans.pop(v)
             ok, q_v, i_v = choose_cluster(entries, head_test(v), k_f)
             if ok:
                 q_next[v] = q_v
@@ -370,9 +469,9 @@ def run_phases(g: Graph, f: int, k: int, *, sample_fn, centers_fn,
         for v, tv in thr.items():
             thr_of, bought = peer(v)
             keep = []
-            for w, eid, u in inc[v]:
-                if (u in thr_of and eid not in bought
-                        and (w, eid) > tv and (w, eid) > thr_of[u]):
+            inc_v = inc[v]
+            for w, eid, u in inc_v[bisect_right(inc_v, tv, key=itemgetter(0, 1)):]:
+                if u in thr_of and eid not in bought and (w, eid) > thr_of[u]:
                     keep.append((w, eid, u))
                     rem_next.add(eid)
             inc_next[v] = keep
@@ -427,8 +526,8 @@ def build_ft_spanner(g: Graph, f: int, k: int, seed=0, variant: str = "seq",
                      record_states: bool = False) -> SpannerResult:
     """Randomized build. variant "seq" scans each remaining edge in weight
     order and takes the first disjoint sampled path of that neighbor;
-    variant "mod" scans all sampled paths in one fixed order (or under a
-    random permutation when mis="parallel")."""
+    variant "mod" scans all sampled paths in that order, which takes the
+    same paths, or under a random permutation when mis="parallel"."""
     n = g.n
     check_params(n, f, k, c_k)
     if mis == "parallel" and variant != "mod":

@@ -1,5 +1,6 @@
 import gc
 import math
+import random
 import sys
 
 import pytest
@@ -225,6 +226,167 @@ def test_fan_entry_builds_paths_on_first_access():
     inherited = FanEntry(base)
     assert inherited.path is base and inherited.orig is base
     assert (inherited.src, inherited.sample_idx, inherited.last_key) == (None, -1, (2, 11))
+
+
+# --- the stopping fan against the eager fan, on real build inputs -----------
+
+def _capture_fans(monkeypatch, build):
+    """(phase, v, q_v, inc_v, samples, variant, pi_state) of every
+    build_fan call of build(); pi_state is the permutation stream's state
+    before the call, None when the fan is not ranked."""
+    real = meta.build_fan
+    calls, phase_of = [], {}
+
+    def capture(v, q_v, inc_v, samples, variant="seq", pi_rng=None):
+        # run_phases builds each clustered vertex's fan once per phase
+        i = phase_of[v] = phase_of.get(v, 0) + 1
+        state = pi_rng.getstate() if pi_rng is not None else None
+        calls.append((i, v, q_v, inc_v, samples, variant, state))
+        return real(v, q_v, inc_v, samples, variant, pi_rng)
+
+    monkeypatch.setattr(meta, "build_fan", capture)
+    build()
+    monkeypatch.undo()
+    return calls
+
+
+def _pi_of(call):
+    state = call[6]
+    if state is None:
+        return None
+    pi_rng = random.Random()
+    pi_rng.setstate(state)
+    return pi_rng
+
+
+def _fan_of(call, samples=None):
+    _, v, q_v, inc_v, offered, variant, _ = call
+    return build_fan(v, q_v, inc_v, offered if samples is None else samples,
+                     variant, _pi_of(call))
+
+
+def _watched_fan(call, read):
+    """Build call's fan over sample lists that log their scans, run read
+    on it, and return the neighbors whose lists the scan read."""
+    scanned = []
+
+    class Watched(meta.Offer):
+        def __iter__(self):
+            scanned.append(self.owner)
+            return super().__iter__()
+
+    watched = {}
+    for _, _, u in call[3]:
+        w = watched[u] = Watched(call[4][u])
+        w.owner = u
+        w.heads  # computed before the watch starts, as its sender would
+    scanned.clear()
+    read(_fan_of(call, watched))
+    return set(scanned)
+
+
+# K40 and K60 run the randomized builders; det first clusters at k=3,
+# c_k=1 on K100 (det_cluster_threshold is 90 there, and 72 > 59 on K60)
+STOPPING_FAN_BUILDS = {
+    "meta-seq": (40, lambda g: build_ft_spanner(g, 1, 3, seed=1, c_k=1)),
+    "meta-mod": (60, lambda g: build_ft_spanner(g, 1, 3, seed=2, variant="mod", c_k=1)),
+    "meta-mod-parallel": (60, lambda g: build_ft_spanner(
+        g, 1, 3, seed=1, variant="mod", mis="parallel", c_k=1)),
+    "meta-det": (100, lambda g: build_ft_spanner_det(g, 1, 3, c_k=1)),
+}
+
+
+def _check_stopping_fan(call, heads):
+    """call's fan, read in full, by prefix, by choose_cluster at K_f = 1-3
+    and by le_edge_ids at every i_v, against the eager fan step."""
+    _, v, q_v, inc_v, samples, variant, _ = call
+    want = _eager_build_fan(v, q_v, inc_v, samples, variant, _pi_of(call))
+    ident = lambda e: (e.src, e.sample_idx, e.head, e.last_key)
+    want_ids = [(src, si, path.head, path.last_key) for path, _, src, si in want]
+
+    full = _fan_of(call)
+    assert len(full) == len(want)
+    assert [ident(e) for e in full] == want_ids
+    assert [(_full(e.path), _full(e.orig)) for e in full] \
+        == [(_full(path), _full(orig)) for path, orig, _, _ in want]
+    fan = _fan_of(call)
+    for j in range(len(want) + 2):
+        assert [ident(e) for e in fan[:j]] == want_ids[:j]
+
+    hits = [j for j, (path, *_) in enumerate(want) if path.head in heads]
+    for k_f in (1, 2, 3):
+        ok, q, i_v = choose_cluster(_fan_of(call), lambda e: e.head in heads, k_f)
+        if len(hits) >= k_f:
+            assert ok and i_v == hits[k_f - 1] + 1
+            assert [_full(p) for p in q] == [_full(want[j][0]) for j in hits[:k_f]]
+        else:
+            assert (ok, q, i_v) == (False, (), len(want) + 1)
+
+    fan = _fan_of(call)
+    pre: set[int] = set()
+    for i_v in range(1, len(want) + 2):
+        if i_v >= 2:
+            pre |= want[i_v - 2][1].vset
+        assert le_edge_ids(fan, i_v, inc_v) == [eid for (_, eid, u) in inc_v if u in pre]
+
+
+def test_stopping_fan_matches_eager_fan_on_real_builds(monkeypatch):
+    """Every fan of four real builds equals the eager fan step's however
+    it is read. Floors: the saturation rule ends at least half of the
+    unranked phase-2 scans, and the prefix rule leaves phase-1 scans
+    unfinished after choose_cluster's and le_edge_ids's reads."""
+    unfinished = 0
+    unranked_p2 = []
+    drew = []  # per mod-parallel fan: was it ranked
+    for name, (n, build) in STOPPING_FAN_BUILDS.items():
+        g = generate("complete", n=n, seed=1, weights=(1, 1000))
+        calls = _capture_fans(monkeypatch, lambda: build(g))
+        assert {c[0] for c in calls} >= {1, 2}, f"{name}: no phase-2 fans"
+        heads = frozenset(x for x in range(n) if substream(n, "heads", x).random() < 0.3)
+        for call in calls:
+            _check_stopping_fan(call, heads)
+            i, v, q_v, inc_v, samples, _, state = call
+            if state is not None:
+                pi_rng = _pi_of(call)
+                build_fan(v, q_v, inc_v, samples, "mod", pi_rng)
+                drew.append(pi_rng.getstate() != state)
+                continue
+            offered = {u for _, _, u in inc_v if samples[u]}
+            if i == 1:
+                def read(fan):
+                    _, _, i_v = choose_cluster(fan, lambda e: e.head in heads, 3)
+                    le_edge_ids(fan, i_v, inc_v)
+                unfinished += _watched_fan(call, read) < offered
+            elif i == 2:
+                fan = _fan_of(call)
+                covered = set().union(*(e.base.vset for e in fan))
+                stopped = _watched_fan(call, len) < offered
+                unranked_p2.append(stopped and all(
+                    p.head in covered for u in offered for p in samples[u]))
+    assert any(drew) and not all(drew), "need ranked and pairwise-disjoint fans"
+    assert unfinished >= 1, "the prefix rule left no phase-1 scan unfinished"
+    assert sum(unranked_p2) * 2 >= len(unranked_p2) > 0, \
+        f"saturation ended {sum(unranked_p2)} of {len(unranked_p2)} phase-2 scans"
+
+
+def test_seq_and_scan_order_mod_build_the_same_spanner():
+    """Every sample of a neighbor u ends at u, so once the scan accepts one
+    of them, the rest meet the fan: the in-order scan takes at most one
+    path per neighbor, as seq does, and meta-mod repeats meta-seq."""
+    rng = substream(22, "seq-vs-mod")
+    clustered = 0
+    for case in range(30):
+        n = rng.randint(20, 45)
+        weights = (1, 1000) if case % 3 else "unit"
+        if case % 2:
+            g = generate("complete", n=n, seed=case, weights=weights)
+        else:
+            g = generate("gnp", n=n, p=rng.uniform(0.5, 0.9), seed=case, weights=weights)
+        f, k = rng.choice(((1, 2), (1, 3), (2, 2)))
+        seq = build_ft_spanner(g, f, k, seed=case, c_k=1)
+        assert seq.edges == build_ft_spanner(g, f, k, seed=case, variant="mod", c_k=1).edges
+        clustered += seq.trace[0].clustered > 0 and seq.edge_count < g.m
+    assert clustered >= 28, f"only {clustered} of 30 builds cluster and drop edges"
 
 
 # --- shortcut ---------------------------------------------------------------
