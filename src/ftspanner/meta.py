@@ -32,6 +32,16 @@ rules. Both rest on two facts: a later acceptance must be disjoint from
   phase i-1, and contains its head, a center of Z_{i-1}. So once every
   head among v's offered samples is in `used`, no later candidate is
   disjoint, in any scan order, and the scan stops.
+
+mod-parallel's ranked fan draws its order as it scans: each step
+swap-pops a uniform position of the offered samples not yet drawn. The
+drawn prefix is the prefix of a uniform permutation of the offered
+samples; restricted to the candidates disjoint from the inherited
+paths, that is a uniform permutation of them. A candidate met after
+saturation is never accepted, so the prefix takes the same lex-first
+MIS as the whole permutation would, and the draw stops there (or when
+nothing is left to draw). Fans whose candidates are pairwise disjoint
+are not ranked and draw nothing.
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import chain, compress, count
+from itertools import chain, count
 from operator import attrgetter, itemgetter
 
 from ftspanner.graphs import Graph, Path
@@ -230,40 +240,27 @@ def build_fan(v: int, q_v, inc_v, samples, variant: str = "seq",
     sample of u ends at u, at most one per neighbor. So seq and mod
     without pi_rng are one scan.
 
-    mod given a pi_rng ranks the candidates by a permutation drawn from
-    it and takes the lex-first MIS under it, by one scan in rank order
-    that only saturation stops, run here in full; parmis's round MIS
-    computes the same set (acceptance 06), and the PRAM depth refers to
-    it. When the candidates are pairwise disjoint (always so in phase 1)
-    any order takes them all, so mod scans in order and draws nothing:
-    pi_rng is a private per-(phase, vertex) stream, so the output is the
-    same. seq ignores pi_rng.
+    mod given a pi_rng takes the lex-first MIS of the candidates under a
+    uniform random order, drawn from pi_rng only as far as the scan reads
+    it: a forward Fisher-Yates draw over the offered samples that stops
+    at saturation or when the pool is empty (the module docstring says
+    why that prefix suffices). The fan is complete when returned.
+    parmis's round MIS on the completed order takes the same set
+    (acceptance 06), and the PRAM depth refers to it. When the
+    candidates are pairwise disjoint (always so in phase 1) any order
+    takes them all, so mod scans in order and draws nothing: pi_rng is
+    a private per-(phase, vertex) stream, so the output is the same.
+    seq ignores pi_rng.
     """
     if variant not in ("seq", "mod"):
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "mod" and pi_rng is not None:
-        used = set().union(*(p.vset for p in q_v))
-        offered = list(chain.from_iterable(map(samples.__getitem__, map(itemgetter(2), inc_v))))
-        alive = list(compress(offered, map(used.isdisjoint, map(attrgetter("vset"), offered))))
-        vsets = list(map(attrgetter("vset"), alive))
-        if sum(map(len, vsets)) != len(frozenset().union(*vsets)):
-            order = list(range(len(alive)))
-            pi_rng.shuffle(order)
-            edge_of = {u: (w, eid) for w, eid, u in inc_v}
-            open_heads = _offered_heads(samples, inc_v) - used
-            entries = [FanEntry(p) for p in q_v]
-            for t in sorted(range(len(alive)), key=order.__getitem__):
-                p = alive[t]
-                if p.vset.isdisjoint(used):
-                    used |= p.vset
-                    u = p.vertices[-1]
-                    cut, best = _lightest(p.vertices, edge_of)
-                    entries.append(FanEntry(p, u, samples[u].index(p), v, edge_of[u], cut, best))
-                    open_heads -= p.vset
-                    if not open_heads:
-                        break
-            entries.sort(key=attrgetter("last_key"))
-            return Fan(entries, None)
+        open_heads = _offered_heads(samples, inc_v)
+        pool = list(chain.from_iterable(map(samples.__getitem__, map(itemgetter(2), inc_v))))
+        # distinct heads are needed for the candidates to be pairwise
+        # disjoint, and cheap to count; only then are the vsets compared
+        if len(open_heads) < len(pool) or _overlap(pool):
+            return Fan(_drawn_fan(v, q_v, inc_v, samples, pool, open_heads, pi_rng), None)
     done: list[FanEntry] = []
     scan = _scan(v, q_v, inc_v, samples, done)
     next(scan)
@@ -271,9 +268,39 @@ def build_fan(v: int, q_v, inc_v, samples, variant: str = "seq",
 
 
 def _offered_heads(samples, inc_v) -> set:
-    """Heads of all paths offered to the owner (direct calls may offer lists)."""
-    return set().union(*[s.heads if isinstance(s, Offer) else Offer(s).heads
-                         for s in map(samples.__getitem__, map(itemgetter(2), inc_v))])
+    """Heads of all paths offered to the owner."""
+    return set().union(*map(attrgetter("heads"), map(samples.__getitem__, map(itemgetter(2), inc_v))))
+
+
+def _overlap(paths) -> bool:
+    """Do any two of the paths share a vertex."""
+    vsets = list(map(attrgetter("vset"), paths))
+    return sum(map(len, vsets)) != len(frozenset().union(*vsets))
+
+
+def _drawn_fan(v, q_v, inc_v, samples, pool, open_heads, pi_rng) -> list:
+    """The ranked fan of build_fan: the pool's candidates in a uniform
+    random order, drawn one at a time by swap-popping a uniform position
+    of what is left, each accepted when disjoint from the fan so far,
+    until saturation or the pool's end."""
+    used = set().union(*(p.vset for p in q_v))
+    open_heads -= used
+    edge_of = {u: (w, eid) for w, eid, u in inc_v}
+    entries = [FanEntry(p) for p in q_v]
+    draw = pi_rng.randrange
+    while open_heads and pool:
+        j = draw(len(pool))
+        p = pool[j]
+        pool[j] = pool[-1]
+        pool.pop()
+        if p.vset.isdisjoint(used):
+            used |= p.vset
+            u = p.vertices[-1]
+            cut, best = _lightest(p.vertices, edge_of)
+            entries.append(FanEntry(p, u, samples[u].index(p), v, edge_of[u], cut, best))
+            open_heads -= p.vset
+    entries.sort(key=attrgetter("last_key"))
+    return entries
 
 
 def _scan(v, q_v, inc_v, samples, done):

@@ -8,8 +8,10 @@ conflict graph is never materialized: each round builds a per-vertex
 earliest-priority map, so work per round is linear in the surviving
 paths' total length.
 
-The builds take the same set by one sequential scan (meta.build_fan); the
-PRAM depth refers to the round algorithm, which the tests run.
+The builds take the same set by one sequential scan (meta.build_fan),
+which draws its random order only until saturation. The round algorithm
+on that draw completed to a full permutation takes the same set, and the
+PRAM depth refers to it; the tests run it so.
 """
 
 from __future__ import annotations

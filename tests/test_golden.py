@@ -27,8 +27,8 @@ PINS_F1_K3 = {
                  [(120, 24), (120, 8), (0, 0)], 3382),
     "meta-mod": ("1166e9b5467d2a4eeb5764760b4241a7d4ce51e475fa59d05409f775101cf669",
                  [(120, 24), (120, 8), (0, 0)], 3382),
-    "meta-mod-parallel": ("f8fa7e7ccf9598d678b3eb0dd2bf0a1d3434e51791fab94875c3327a06554e57",
-                          [(120, 24), (120, 8), (0, 0)], 3408),
+    "meta-mod-parallel": ("c4454bff6353b6df6b04b06407622f38c6e345f49f1faa3bb8a1910938e91796",
+                          [(120, 24), (120, 8), (0, 0)], 3480),
     "meta-det": ("7ded2cc001d431b7bd82e64666c5619bcdedaab764eced136435f7025a6351a7",
                  [(120, 8), (0, 0), (0, 0)], 3791),
     "simulate": ("823870ba61efb0ed58d26a4387f9aa86e0b24fe18e177769b6eef504fcfa9804",

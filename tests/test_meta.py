@@ -1,7 +1,9 @@
 import gc
+import itertools
 import math
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from ftspanner import meta
 from ftspanner.congest import simulate_distributed_spanner
 from ftspanner.detkit import build_ft_spanner_det
 from ftspanner.graphs import Graph, Path, generate
-from ftspanner.meta import (FanEntry, PhaseRecord, build_fan, build_ft_spanner,
+from ftspanner.meta import (FanEntry, Offer, PhaseRecord, build_fan, build_ft_spanner,
                             center_ratio, check_invariants, choose_cluster,
                             le_edge_ids, random_steps, run_phases,
                             sample_fan_paths, shortcut)
@@ -34,7 +36,7 @@ def test_fan_rejects_shared_interior():
     # two candidates through the same bridge vertex: only the first joins
     z1, z2, a, v = 0, 1, 2, 3
     inc_v = [(5, 7, a)]
-    samples = {a: [path_of(z1, a), path_of(z2, a)]}
+    samples = {a: Offer([path_of(z1, a), path_of(z2, a)])}
     fan = build_fan(v, (Path.trivial(v),), inc_v, samples)
     grown = [e for e in fan if e.src is not None]
     assert len(grown) == 1
@@ -44,7 +46,7 @@ def test_fan_rejects_shared_interior():
 def test_fan_accepts_disjoint_candidates():
     v = 9
     inc_v = [(3, 1, 2), (5, 2, 4)]
-    samples = {2: [path_of(0, 2)], 4: [path_of(1, 4)]}
+    samples = {2: Offer([path_of(0, 2)]), 4: Offer([path_of(1, 4)])}
     fan = build_fan(v, (Path.trivial(v),), inc_v, samples)
     assert sum(1 for e in fan if e.src is not None) == 2
 
@@ -53,7 +55,7 @@ def test_fan_maximality_post_hoc():
     g = generate("gnp", n=26, p=0.5, seed=6)
     rng = substream(4, "maximality")
     inc = {v: [(w, eid, u) for (w, eid, u) in g.adj[v]] for v in range(g.n)}
-    samples = {u: [Path.trivial(u)] for u in range(g.n)}
+    samples = {u: Offer([Path.trivial(u)]) for u in range(g.n)}
     for variant in ("seq", "mod"):
         for v in range(0, g.n, 5):
             fan = build_fan(v, (Path.trivial(v),), inc[v], samples, variant)
@@ -69,7 +71,7 @@ def test_fan_variants_differ_only_in_order():
     # with singleton samples both variants accept every neighbor
     g = generate("complete", n=8, seed=1)
     inc = [(w, eid, u) for (w, eid, u) in g.adj[0]]
-    samples = {u: [Path.trivial(u)] for u in range(1, 8)}
+    samples = {u: Offer([Path.trivial(u)]) for u in range(1, 8)}
     f_seq = build_fan(0, (Path.trivial(0),), inc, samples, "seq")
     f_mod = build_fan(0, (Path.trivial(0),), inc, samples, "mod")
     assert {e.path.vertices for e in f_seq} == {e.path.vertices for e in f_mod}
@@ -89,6 +91,28 @@ def _eager_shortcut(path, edge_of):
     if best_idx == len(verts) - 2:
         return path
     return path.prefix_to(best_idx).extend(verts[-1], best[1], best)
+
+
+def _full_draw(pi_rng, n):
+    """0..n-1 in the order of mod's forward draw, drawn to the pool's end:
+    each step swap-pops a uniform position of what is left."""
+    pool = list(range(n))
+    order = []
+    while pool:
+        j = pi_rng.randrange(len(pool))
+        pool[j], pool[-1] = pool[-1], pool[j]
+        order.append(pool.pop())
+    return order
+
+
+def _alive_under_full_draw(pi_rng, offered, used):
+    """(alive, inst): the positions of the offered paths disjoint from
+    used, and their conflict instance ranked by the full draw."""
+    drawn = [j for j in _full_draw(pi_rng, len(offered)) if offered[j].vset.isdisjoint(used)]
+    rank = {j: r for r, j in enumerate(drawn)}
+    alive = sorted(drawn)
+    return alive, PathConflictInstance(tuple(offered[j].vset for j in alive),
+                                       tuple(map(rank.__getitem__, alive)))
 
 
 def _eager_build_fan(v, q_v, inc_v, samples, variant="seq", pi_rng=None):
@@ -113,14 +137,10 @@ def _eager_build_fan(v, q_v, inc_v, samples, variant="seq", pi_rng=None):
                  for (w, eid, u) in inc_v
                  for si, p in enumerate(samples[u])]
         if pi_rng is not None:
-            alive = [j for j, c in enumerate(cands) if c[0].vset.isdisjoint(used)]
-            order = list(range(len(alive)))
-            pi_rng.shuffle(order)
-            inst = PathConflictInstance(
-                tuple(cands[j][0].vset for j in alive), tuple(order))
+            alive, inst = _alive_under_full_draw(pi_rng, [c[0] for c in cands], used)
             # the scan the round algorithm reproduces
             taken = lex_first_mis(inst)
-            for t in sorted(taken, key=lambda j: order[j]):
+            for t in sorted(taken, key=inst.pi.__getitem__):
                 accepted.append(cands[alive[t]])
         else:
             for c in cands:
@@ -167,7 +187,7 @@ def fan_cases(draw):
     for _, _, u in inc_v:
         paths = [_random_path(g, rng, u, rng.randint(0, min(3, n - 2)))
                  for _ in range(rng.randint(0, 4))]
-        samples[u] = list({p.vertices: p for p in paths}.values())
+        samples[u] = Offer({p.vertices: p for p in paths}.values())
     variant, ranked = draw(st.sampled_from(
         [("seq", False), ("mod", False), ("mod", True)]))
     heads = frozenset(x for x in range(n) if rng.random() < 0.5)
@@ -414,7 +434,7 @@ def test_shortcut_obs_on_random_instances():
     for v in range(0, 30, 3):
         inc = [(w, eid, u) for (w, eid, u) in g.adj[v]]
         edge_of = {u: (w, eid) for (w, eid, u) in inc}
-        samples = {u: [Path.trivial(u)] for (_, _, u) in inc}
+        samples = {u: Offer([Path.trivial(u)]) for (_, _, u) in inc}
         fan = build_fan(v, (Path.trivial(v),), inc, samples)
         for e in fan:
             if e.src is None:
@@ -612,21 +632,21 @@ def test_zero_edge_graph():
 
 # --- the conflict-free fan skips the MIS ------------------------------------
 
-def _fan_instance(sample_verts):
-    """Owner 0 of a weighted K9 with inherited path (0,), and per neighbor
-    u one sample list of the given paths ending at u."""
+def _fan_instance(sample_verts, inherited=((0,),)):
+    """Owner 0 of a weighted K9 with the given inherited paths (ending at
+    0), and per neighbor u one sample list of the given paths ending at u."""
     g = generate("complete", n=9, seed=3, weights=(1, 30))
+
+    def path(verts):
+        p = Path.trivial(verts[0])
+        for a, b in zip(verts, verts[1:]):
+            eid = edge_id(g, a, b)
+            p = p.extend(b, eid, g.key(eid))
+        return p
+
     inc_v = [t for t in g.adj[0] if t[2] in sample_verts]
-    samples = {}
-    for u, paths in sample_verts.items():
-        samples[u] = []
-        for verts in paths:
-            p = Path.trivial(verts[0])
-            for a, b in zip(verts, verts[1:]):
-                eid = edge_id(g, a, b)
-                p = p.extend(b, eid, g.key(eid))
-            samples[u].append(p)
-    return (Path.trivial(0),), inc_v, samples
+    samples = {u: Offer(map(path, paths)) for u, paths in sample_verts.items()}
+    return tuple(map(path, inherited)), inc_v, samples
 
 
 def _check_against_eager(inst, pi_seed):
@@ -655,6 +675,54 @@ def test_one_conflict_runs_the_mis():
     got, drew = _check_against_eager(inst, 11)
     assert len(got) == 4
     assert drew
+
+
+def _accepted(fan):
+    return frozenset((e.src, e.sample_idx) for e in fan if e.src is not None)
+
+
+@pytest.mark.parametrize("sample_verts, inherited", [
+    # a conflict chain 1 - 2 - 3, and two samples of neighbor 4
+    ({1: [(5, 1)], 2: [(5, 6, 2)], 3: [(6, 3)], 4: [(7, 4), (8, 4)]}, ((0,),)),
+    # 3 meets 1, 2 and 4; the inherited path kills 7's first sample
+    ({1: [(5, 1)], 2: [(5, 2)], 3: [(5, 6, 3)], 4: [(6, 4)], 7: [(8, 7), (7,)]},
+     ((8, 0),)),
+])
+def test_drawn_fan_has_the_random_order_mis_distribution(sample_verts, inherited):
+    """The accepted set of the drawn fan over 20,000 fixed streams is
+    within total-variation distance 0.02 of the exact law of the
+    lex-first MIS under a uniform order of the alive candidates."""
+    q_v, inc_v, samples = _fan_instance(sample_verts, inherited)
+    used = set().union(*(p.vset for p in q_v))
+    alive = [(u, si, p.vset) for _, _, u in inc_v
+             for si, p in enumerate(samples[u]) if p.vset.isdisjoint(used)]
+    assert 2 <= len(alive) <= 6
+    perms = list(itertools.permutations(range(len(alive))))
+    exact = Counter(
+        frozenset(alive[t][:2] for t in lex_first_mis(PathConflictInstance(
+            tuple(c[2] for c in alive), pi)))
+        for pi in perms)
+    runs = 20_000
+    seen = Counter(_accepted(build_fan(0, q_v, inc_v, samples, "mod", substream(s, "pi")))
+                   for s in range(runs))
+    assert set(seen) == set(exact) and len(exact) >= 3
+    tv = sum(abs(seen[a] / runs - exact[a] / len(perms)) for a in exact) / 2
+    assert tv < 0.02, f"total-variation distance {tv:.4f}"
+
+
+def test_drawn_fan_stops_when_the_pool_runs_out():
+    """Head 7 is offered only through 5, which the inherited path holds, so
+    the fan never saturates: the draw ends with the pool, after one draw
+    per offered path, and the fan equals the eager oracle's."""
+    inst = _fan_instance({1: [(7, 5, 1)], 2: [(6, 2)], 3: [(6, 3)]}, ((5, 0),))
+    for seed in range(20):
+        got, drew = _check_against_eager(inst, seed)
+        assert drew and len(got) == 2
+        pi_rng, replay = substream(seed, "pi"), substream(seed, "pi")
+        build_fan(0, *inst, "mod", pi_rng)
+        for n in (3, 2, 1):
+            replay.randrange(n)
+        assert pi_rng.getstate() == replay.getstate()
 
 
 def test_seq_fan_ignores_the_permutation_stream():
@@ -695,7 +763,8 @@ def test_mis_runs_only_where_candidates_conflict():
 
 def test_round_mis_takes_the_fans_of_a_real_build(monkeypatch):
     """Every conflicting fan of a real mod-parallel build accepts exactly
-    what parmis's round MIS takes under the same permutation draw."""
+    what parmis's round MIS takes on its alive candidates, ranked by the
+    same forward draw run to the pool's end."""
     real = meta.build_fan
     phase_of = {}
     rounds = []
@@ -705,15 +774,13 @@ def test_round_mis_takes_the_fans_of_a_real_build(monkeypatch):
         # run_phases builds each clustered vertex's fan once per phase
         i = phase_of[v] = phase_of.get(v, 0) + 1
         used = set().union(*(p.vset for p in q_v))
-        alive = [(u, si, p.vset) for _, _, u in inc_v
-                 for si, p in enumerate(samples[u]) if p.vset.isdisjoint(used)]
-        vsets = [c[2] for c in alive]
-        if sum(map(len, vsets)) == len(set().union(*vsets)):
+        offered = [(u, si, p) for _, _, u in inc_v for si, p in enumerate(samples[u])]
+        alive, inst = _alive_under_full_draw(
+            vertex_stream(1, "pi", i, v), [c[2] for c in offered], used)
+        if sum(map(len, inst.paths)) == len(set().union(*inst.paths)):
             return out
-        order = list(range(len(alive)))
-        vertex_stream(1, "pi", i, v).shuffle(order)
-        taken, trace = parallel_greedy_mis(PathConflictInstance(tuple(vsets), tuple(order)))
-        assert {alive[t][:2] for t in taken} == \
+        taken, trace = parallel_greedy_mis(inst)
+        assert {offered[alive[t]][:2] for t in taken} == \
             {(e.src, e.sample_idx) for e in out if e.src is not None}
         rounds.append(trace.rounds)
         return out
