@@ -171,6 +171,80 @@ def test_goal_directed_search_matches_plain_search():
     assert found.count((True, False)) >= 20
 
 
+def _popped_vertices(monkeypatch):
+    """Record the vertex of every heap pop that verify makes from now on."""
+    popped = []
+    real = verify.heappop
+
+    def pop(heap):
+        item = real(heap)
+        popped.append(item[1])
+        return item
+
+    monkeypatch.setattr(verify, "heappop", pop)
+    return popped
+
+
+def test_leaf_search_matches_full_search(monkeypatch):
+    # Given v's parents from the same map, the search may return at the
+    # first popped vertex whose fault-free route to v avoids the dead set.
+    # Its distance must be the full search's, and within the bound the
+    # distance in H - F. Unit weights make ties.
+    popped = _popped_vertices(monkeypatch)
+    found = []
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(host_cases(), st.data())
+    def check(case, data):
+        g, kept, _, i = case
+        h = Graph(g.n, [g.edges[e] for e in kept])
+        adj = _subgraph_adj(h, range(h.m))
+        for u, v, w in g.edges:
+            bound = (2 * i - 1) * w
+            goal, route = _sssp_upto(adj, v, bound + data.draw(st.integers(0, 8)))
+            others = [x for x in range(g.n) if x != u and x != v]
+            dead = frozenset(data.draw(st.lists(st.sampled_from(others), max_size=2))
+                             if others else ())
+            full, _ = _dist_avoid(adj, u, v, dead, bound, goal)
+            popped.clear()
+            d, _ = _dist_avoid(adj, u, v, dead, bound, goal, route)
+            assert d == full
+            if d <= bound:
+                assert d == dist(h, u, v, dead)
+            found.append((bool(dead), d < INF and v not in popped, d == INF))
+
+    check()
+    # Non-vacuous: the exit fires under faults before v is popped, and
+    # both searches fail within the bound.
+    assert found.count((True, True, False)) >= 100
+    assert found.count((True, False, True)) >= 20
+
+
+def test_leaf_searches_pop_at_most_half_of_full_searches(monkeypatch):
+    # K40 unit-weight meta-seq at f=1, k=2: every branch search is a leaf.
+    # Replayed without v's parents, the same searches pop at least twice
+    # as many heap entries, and return the same distances.
+    g = generate("complete", n=40, seed=1)
+    res = build_ft_spanner(g, 1, 2, seed=1, c_k=1)
+    calls = []
+    real = verify._dist_avoid
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "_dist_avoid", recorded)
+    assert verify_spanner(g, res.edges, 1, 2).passed
+    monkeypatch.undo()
+    assert len(calls) == 435
+    popped = _popped_vertices(monkeypatch)
+    leaf = [real(*args)[0] for args in calls]
+    leaf_pops = len(popped)
+    popped.clear()
+    assert [real(*args[:6])[0] for args in calls] == leaf
+    assert leaf_pops * 2 <= len(popped), f"{leaf_pops} pops against {len(popped)}"
+
+
 def test_map_at_larger_cutoff_agrees_within_bound():
     # Within the bound, a capped map taken at a larger cutoff has the same
     # distances and parents as one taken at the bound.
