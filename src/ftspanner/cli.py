@@ -104,7 +104,28 @@ def cmd_verify(args) -> int:
     print(("PASS" if report.passed else "FAIL")
           + f" mode={report.mode} edges={len(res.edges)}/{g.m}"
           + f" worst_stretch={report.worst_stretch}", file=sys.stderr)
+    print(json.dumps({"worst_over_bound": _margin(g, set(res.edges), report)}),
+          file=sys.stderr)
     return 0 if report.passed else 1
+
+
+def _margin(g: Graph, kept, report) -> dict:
+    """The dropped edges by worst distance over bound: bin "x" counts the
+    ratios in (x - 0.1, x], then "over" and "disconnected". Weights are
+    integers, so each worst distance is recovered exactly from its
+    stretch and binned in integer arithmetic."""
+    hist = {f"{t / 10:.1f}": 0 for t in range(1, 11)}
+    hist["over"] = hist["disconnected"] = 0
+    for eid, stretch in report.per_edge.items():
+        if eid in kept:
+            continue
+        if stretch == math.inf:
+            hist["disconnected"] += 1
+            continue
+        w = g.edges[eid][2]
+        tenths = -(-10 * round(stretch * w) // ((2 * report.k - 1) * w))
+        hist[f"{tenths / 10:.1f}" if tenths <= 10 else "over"] += 1
+    return hist
 
 
 def cmd_certificate(args) -> int:

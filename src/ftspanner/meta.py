@@ -247,10 +247,10 @@ def build_fan(v: int, q_v, inc_v, samples, variant: str = "seq",
     why that prefix suffices). The fan is complete when returned.
     parmis's round MIS on the completed order takes the same set
     (acceptance 06), and the PRAM depth refers to it. When the
-    candidates are pairwise disjoint (always so in phase 1) any order
-    takes them all, so mod scans in order and draws nothing: pi_rng is
-    a private per-(phase, vertex) stream, so the output is the same.
-    seq ignores pi_rng.
+    candidates are pairwise disjoint any order takes them all, so mod
+    scans in order and draws nothing: pi_rng is a private per-(phase,
+    vertex) stream, so the output is the same. In phase 1 they always
+    are, and run_phases passes no pi_rng. seq ignores pi_rng.
     """
     if variant not in ("seq", "mod"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -424,7 +424,9 @@ def run_phases(g: Graph, f: int, k: int, *, sample_fn, centers_fn,
     """Shared phase driver. sample_fn(i, u, q_paths) supplies the per-vertex
     sample list; centers_fn(i, centers, fans) picks the surviving centers
     (fans provided for deterministic selection); pi_rng_fn(i, v), if
-    given, supplies the stream from which mod ranks v's fan candidates.
+    given, supplies the stream from which mod ranks v's fan candidates,
+    from phase 2 on: a phase-1 candidate is one neighbor's one-vertex
+    path, so they are pairwise disjoint and never ranked.
 
     transport carries each message step; LocalExchange when None.
       paths(samples, inc) -> v -> {neighbor: its sample list}
@@ -468,7 +470,7 @@ def run_phases(g: Graph, f: int, k: int, *, sample_fn, centers_fn,
         seen = transport.paths(samples, inc)
         fans = {}
         for v in active:
-            pi_rng = pi_rng_fn(i, v) if pi_rng_fn is not None else None
+            pi_rng = pi_rng_fn(i, v) if pi_rng_fn is not None and i > 1 else None
             fans[v] = build_fan(v, q[v], inc[v], seen(v), variant, pi_rng)
         centers_next = centers_fn(i, centers, fans) if i < k else frozenset()
         head_test = transport.heads(centers_next, samples, inc)

@@ -54,6 +54,21 @@ shortest path, so verdicts, fault-set counts and the worst ratios of
 protected edges do not change; a violated edge's witness is the first
 violated node of the tree that this search builds.
 
+A leaf of the tree, a node with k_eff vertices, is never branched on, so
+its search needs the distance alone, and it stops early: at the first
+popped vertex x whose parent chain in v's map reaches v without meeting
+F, it returns x's distance from u plus goal[x], its fault-free distance
+to v. That sum is the length of a u-v walk avoiding F, so it is at least
+the distance d; if d exceeds the cutoff, so does the sum, and the result
+is INF, as before. If not, the sum is also at most d. For x = u it is
+goal[u], the fault-free distance, at most d. Any other x was popped under that
+sum as its key; while v is not yet popped, some vertex y of a shortest
+u-v path avoiding F waits in the heap at its exact distance (the
+heuristic is consistent), under a key of at most d, so no earlier pop
+has a larger key. Interior nodes, which branch on their path, and a
+violated edge's unbounded witness search still run until v is popped,
+so the tree, every ratio, fault-set count and witness stay the same.
+
 Certificates: h is a lam-certificate of g when, for every fault set F of
 fewer than lam vertices, h minus F has the components of g minus F. Those
 of h refine those of g, so h fails exactly when some such F, avoiding u
@@ -149,14 +164,16 @@ def _interior(parent, u, v):
     return tuple(interior)
 
 
-def _dist_avoid(adj, u: int, v: int, dead: frozenset, cutoff=INF, goal=None):
+def _dist_avoid(adj, u: int, v: int, dead: frozenset, cutoff=INF, goal=None, route=None):
     """u-v distance avoiding dead vertices, with the interior vertices of one
     shortest path; (INF, ()) if above cutoff or disconnected.
 
     With goal, the fault-free distances to v from a map of v capped at or
     above cutoff, the search is A*: a vertex y is ordered by its distance
     plus goal[y], and skipped when that sum exceeds cutoff or goal has no
-    entry for it."""
+    entry for it. With route too, that map's parents, the search returns
+    the distance alone, with no interior, at the first popped vertex whose
+    route to v avoids dead."""
     best = {u: 0}
     parent = {}
     heap = [(0, u)]
@@ -167,6 +184,13 @@ def _dist_avoid(adj, u: int, v: int, dead: frozenset, cutoff=INF, goal=None):
             continue
         if x == v:
             return best[v], _interior(parent, u, v)
+        if route is not None and x in goal:
+            y = x
+            while y != v and y not in dead:
+                y = route[y]
+            if y == v:
+                d = best[x] + goal[x]
+                return (d, ()) if d <= cutoff else (INF, ())
         done.add(x)
         d = best[x]
         for y, w in adj[x]:
@@ -200,31 +224,35 @@ def _relevant(mu, mv, u, v, bound):
     return du[v], relevant, _interior(parent, u, v)
 
 
-def _branch(adj, u, v, w, bound, k_eff, base, interior, goal, budget):
+def _branch(adj, u, v, w, bound, k_eff, base, interior, mv, budget):
     """The branching check, from the u-v distance base and the interior of
     one shortest path: each fault set of up to k_eff vertices is extended
     by each interior vertex of its own short path, found by A* toward v
-    with goal = v's fault-free distances. Each search is charged to budget.
-    Returns (worst_ratio, None) if the edge is protected, else (None, F)
-    with F the first node whose distance exceeds bound."""
+    guided by v's capped map mv (distances, parents). A leaf, a set of
+    k_eff vertices, is never extended, so its search asks for the distance
+    alone. Each search is charged to budget. Returns (worst_ratio, None)
+    if the edge is protected, else (None, F) with F the first node whose
+    distance exceeds bound."""
     if base > bound:
         return None, frozenset()
+    goal, route = mv
     worst = base
     seen = set()
     stack = [(frozenset(), interior)] if k_eff else []
     while stack:
         dead, path = stack.pop()
+        leaf = len(dead) + 1 == k_eff
         for x in path:
             child = dead | {x}
             if child in seen:
                 continue
             seen.add(child)
             budget.charge()
-            d, sub = _dist_avoid(adj, u, v, child, bound, goal)
+            d, sub = _dist_avoid(adj, u, v, child, bound, goal, route if leaf else None)
             if d > bound:
                 return None, child
             worst = max(worst, d)
-            if len(child) < k_eff:
+            if not leaf:
                 stack.append((child, sub))
     return worst / w, None
 
@@ -238,7 +266,7 @@ def _protection_scan(adj, mu, mv, u, v, w, f, i, budget):
     base, relevant, interior = _relevant(mu, mv, u, v, bound)
     # base > bound leaves no vertex relevant, so the one set counted is {}
     k_eff = min(f, relevant)
-    worst, dead = _branch(adj, u, v, w, bound, k_eff, base, interior, mv[0], budget)
+    worst, dead = _branch(adj, u, v, w, bound, k_eff, base, interior, mv, budget)
     violation = None
     if dead is not None:
         budget.charge()

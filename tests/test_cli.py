@@ -159,6 +159,39 @@ def test_cli_case(tmp_path, gen, seed, cmd, subgraph, code, drops):
     assert (res.edge_count < res.m) == drops
 
 
+_MARGIN_BINS = [f"0.{t}" for t in range(1, 10)] + ["1.0", "over", "disconnected"]
+
+
+@pytest.mark.parametrize("gen, cmd, subgraph, code, tail", [
+    (_GNP34, ("--f", 1, "--k", 2), None, 0, {"over": 0, "disconnected": 0}),
+    # C4's detour is exactly the bound, the top of bin "1.0"
+    (("--kind", "cycle", "--n", 4), ("--f", 0, "--k", 2), _all_but_heaviest, 0, {"1.0": 1}),
+    (("--kind", "cycle", "--n", 6), ("--f", 0, "--k", 2), _all_but_heaviest, 1, {"over": 1}),
+    (("--kind", "complete", "--n", 4), ("--f", 1, "--k", 2), _star_at_0, 1,
+     {"disconnected": 3}),
+])
+def test_verify_prints_the_stretch_margin(tmp_path, capsys, gen, cmd, subgraph, code, tail):
+    """verify's last stderr line bins the dropped edges by worst distance
+    over bound; the bins count every dropped edge once."""
+    g, r = tmp_path / "g.txt", tmp_path / "r.json"
+    assert run("gen", *gen, "--seed", 1000, "-o", g) == 0
+    if subgraph:
+        graph = load_graph(g.read_text())
+        r.write_text(_manual_result(graph, subgraph(graph)).to_json())
+    else:
+        assert run("build", "--graph", g, "--algo", "meta-seq", *cmd, "--ck", 1,
+                   "-o", r) == 0
+    capsys.readouterr()
+    assert run("verify", "--graph", g, "--result", r, *cmd) == code
+    verdict, line = capsys.readouterr().err.splitlines()[-2:]
+    assert verdict.startswith("PASS" if code == 0 else "FAIL")
+    hist = json.loads(line)["worst_over_bound"]
+    res = SpannerResult.from_json(r.read_text())
+    assert list(hist) == _MARGIN_BINS
+    assert sum(hist.values()) == res.m - res.edge_count > 0
+    assert {key: hist[key] for key in tail} == tail
+
+
 @pytest.mark.parametrize("flags, value", [
     (("--f", -1, "--k", 2), "f=-1"), (("--f", 1, "--k", 0), "k=0"),
     (("--f", 1, "--k", 2, "--mode", "sampled:8"), "unrecognized arguments: --mode"),

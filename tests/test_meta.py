@@ -761,6 +761,19 @@ def test_mis_runs_only_where_candidates_conflict():
     assert drew.count(2) > 0
 
 
+def test_no_permutation_stream_is_asked_for_in_phase_1():
+    # phase-1 candidates are distinct neighbors' one-vertex paths, so
+    # run_phases asks for no stream to rank them
+    asked = []
+
+    def pi_rng_fn(i, v):
+        asked.append(i)
+        return vertex_stream(1, "pi", i, v)
+
+    _k40_mod_parallel(pi_rng_fn)
+    assert 1 not in asked and 2 in asked
+
+
 def test_round_mis_takes_the_fans_of_a_real_build(monkeypatch):
     """Every conflicting fan of a real mod-parallel build accepts exactly
     what parmis's round MIS takes on its alive candidates, ranked by the

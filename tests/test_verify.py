@@ -119,7 +119,7 @@ def test_branching_matches_definition():
             mv = _sssp_upto(adj, v, bound)
             base, relevant, interior = _relevant(_sssp_upto(adj, u, bound), mv, u, v, bound)
             worst, dead = _branch(adj, u, v, w, bound, min(f, relevant), base, interior,
-                                  mv[0], _Budget(DEFAULT_CAP))
+                                  mv, _Budget(DEFAULT_CAP))
             worst_dist = worst_dist_direct(h, u, v, f)
             ok = dead is None
             assert ok == (worst_dist <= bound) == is_protected(h, u, v, w, f, i)
