@@ -61,11 +61,11 @@ F, it returns x's distance from u plus goal[x], its fault-free distance
 to v. That sum is the length of a u-v walk avoiding F, so it is at least
 the distance d; if d exceeds the cutoff, so does the sum, and the result
 is INF, as before. If not, the sum is also at most d. For x = u it is
-goal[u], the fault-free distance, at most d. Any other x was popped under that
-sum as its key; while v is not yet popped, some vertex y of a shortest
-u-v path avoiding F waits in the heap at its exact distance (the
-heuristic is consistent), under a key of at most d, so no earlier pop
-has a larger key. Interior nodes, which branch on their path, and a
+goal[u], the fault-free distance, at most d. Any other x was popped
+under that sum as its key; while v is not yet popped, some vertex y of a
+shortest u-v path avoiding F waits in the heap at its exact distance
+(the heuristic is consistent), under a key of at most d, so no earlier
+pop has a larger key. Interior nodes, which branch on their path, and a
 violated edge's unbounded witness search still run until v is popped,
 so the tree, every ratio, fault-set count and witness stay the same.
 
