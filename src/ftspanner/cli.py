@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: gen, build, verify, certificate, simulate, hitting-set,
-report. JSON is the machine interface (canonically ordered, timings
-excluded); TSV is emitted only for plotting tables.
+Subcommands: gen, build, verify, certificate, simulate, report. JSON is
+the machine interface (canonically ordered, timings excluded); TSV is
+emitted only for plotting tables.
 Exit codes: 0 success/pass, 1 verification failure, 2 usage error.
 """
 
@@ -12,11 +12,10 @@ import argparse
 import json
 import math
 import sys
-from itertools import chain
 from pathlib import Path as FsPath
 
 from ftspanner.congest import BandwidthExceeded, simulate_distributed_spanner
-from ftspanner.detkit import HittingInstance, beta_hitting_set, build_ft_spanner_det
+from ftspanner.detkit import build_ft_spanner_det
 from ftspanner.graphs import Graph, GraphError, ParseError, generate, load_graph
 from ftspanner.meta import build_ft_spanner
 from ftspanner.result import SpannerResult
@@ -177,37 +176,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_hitting_set(args) -> int:
-    spec = json.loads(FsPath(args.instance).read_text())
-    if not (isinstance(spec, dict) and isinstance(spec.get("ground"), list)
-            and isinstance(spec.get("sets"), list)
-            and all(isinstance(s, list) for s in spec["sets"])):
-        raise ValueError("a hitting-set instance must be a JSON object whose"
-                         " 'ground' is a list and whose 'sets' is a list of lists")
-    if "delta" not in spec:
-        raise ValueError("a hitting-set instance needs a 'delta'")
-    elems = list(chain(spec["ground"], *spec["sets"]))
-    # one kind only: the chosen set is printed sorted
-    if not (all(isinstance(x, (int, float)) for x in elems)
-            or all(isinstance(x, str) for x in elems)):
-        raise ValueError("hitting-set 'ground' and 'sets' elements must be"
-                         " all numbers or all strings")
-    # validate() checks the numbers, so they pass through as given
-    inst = HittingInstance(
-        ground=tuple(spec["ground"]),
-        sets=tuple(tuple(s) for s in spec["sets"]),
-        delta=spec["delta"],
-        beta=spec.get("beta", 1),
-        c=spec.get("c", 1.0),
-    )
-    chosen = beta_hitting_set(inst)
-    _write(json.dumps({"hitting_set": sorted(chosen),
-                       "size": len(chosen),
-                       "bound": len(inst.ground) / inst.delta},
-                      sort_keys=True) + "\n", args.out)
-    return 0
-
-
 def cmd_report(args) -> int:
     res = SpannerResult.from_json(FsPath(args.result).read_text())
     if args.tsv:
@@ -287,11 +255,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-log", help="write the binary message log here")
     p.add_argument("-o", "--out")
     p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("hitting-set", help="solve a JSON hitting-set instance")
-    p.add_argument("--instance", required=True)
-    p.add_argument("-o", "--out")
-    p.set_defaults(fn=cmd_hitting_set)
 
     p = sub.add_parser("report", help="summarize a stored result")
     p.add_argument("--result", required=True)

@@ -28,7 +28,7 @@ class HittingInstance:
     """Ground set R, subsets to hit, reduction factor delta, required
     intersection multiplicity beta.
 
-    Admissible when every subset has at least c * beta * delta * ln(#sets)
+    Admissible when every subset has at least beta * delta * ln(#sets)
     elements (the log term floored at 1), which is what the greedy
     solver's size bound needs.
     """
@@ -37,18 +37,16 @@ class HittingInstance:
     sets: tuple
     delta: float
     beta: int = 1
-    c: float = 1.0
 
     def min_set_size(self) -> float:
         ell = len(self.sets)
-        return self.c * self.beta * self.delta * max(1, math.ceil(math.log(max(ell, 1))))
+        return self.beta * self.delta * max(1, math.ceil(math.log(max(ell, 1))))
 
     def validate(self):
-        for name, value in (("delta", self.delta), ("c", self.c)):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise InadmissibleInstance(f"{name} must be a number, got {value!r}")
-            if not math.isfinite(value):
-                raise InadmissibleInstance(f"{name} must be finite, got {value}")
+        if isinstance(self.delta, bool) or not isinstance(self.delta, (int, float)):
+            raise InadmissibleInstance(f"delta must be a number, got {self.delta!r}")
+        if not math.isfinite(self.delta):
+            raise InadmissibleInstance(f"delta must be finite, got {self.delta}")
         if self.delta < 1:
             raise InadmissibleInstance(f"delta must be >= 1, got {self.delta}")
         if isinstance(self.beta, bool) or not isinstance(self.beta, int) or self.beta < 1:
@@ -157,8 +155,8 @@ def build_ft_spanner_det(g: Graph, f: int, k: int, c_k: int = 20,
         return chosen
 
     spanner, trace, states, iv_summary = run_phases(
-        g, f, k, sample_fn=sample_fn, centers_fn=centers_fn, variant="seq",
-        c_k=c_k, record_states=record_states)
+        g, f, k, sample_fn=sample_fn, centers_fn=centers_fn, c_k=c_k,
+        record_states=record_states)
 
     return SpannerResult(
         algo="meta-det", n=n, m=g.m, graph_sha=g.sha(),

@@ -223,8 +223,7 @@ def shortcut(path: Path, edge_of: dict[int, tuple[int, int]]) -> Path:
     return path.prefix_to(best_idx).extend(verts[-1], best[1], best)
 
 
-def build_fan(v: int, q_v, inc_v, samples, variant: str = "seq",
-              pi_rng=None) -> Fan:
+def build_fan(v: int, q_v, inc_v, samples, pi_rng=None) -> Fan:
     """Step 1 for a single vertex: maximal disjoint paths to adjacent
     clusters, shortcut, ordered by last-edge key. The Fan scans only as
     far as it is read. Entries below the least key of a neighbor outside
@@ -237,24 +236,21 @@ def build_fan(v: int, q_v, inc_v, samples, variant: str = "seq",
     neighbors are read).
 
     The scan in inc_v order accepts every disjoint candidate; as every
-    sample of u ends at u, at most one per neighbor. So seq and mod
-    without pi_rng are one scan.
+    sample of u ends at u, at most one per neighbor.
 
-    mod given a pi_rng takes the lex-first MIS of the candidates under a
-    uniform random order, drawn from pi_rng only as far as the scan reads
-    it: a forward Fisher-Yates draw over the offered samples that stops
-    at saturation or when the pool is empty (the module docstring says
-    why that prefix suffices). The fan is complete when returned.
-    parmis's round MIS on the completed order takes the same set
-    (acceptance 06), and the PRAM depth refers to it. When the
-    candidates are pairwise disjoint any order takes them all, so mod
-    scans in order and draws nothing: pi_rng is a private per-(phase,
-    vertex) stream, so the output is the same. In phase 1 they always
-    are, and run_phases passes no pi_rng. seq ignores pi_rng.
+    Given a pi_rng, the fan is ranked: it takes the lex-first MIS of the
+    candidates under a uniform random order, drawn from pi_rng only as
+    far as the scan reads it: a forward Fisher-Yates draw over the
+    offered samples that stops at saturation or when the pool is empty
+    (the module docstring says why that prefix suffices). The fan is
+    complete when returned. parmis's round MIS on the completed order
+    takes the same set (acceptance 06), and the PRAM depth refers to it.
+    When the candidates are pairwise disjoint any order takes them all,
+    so the fan scans in order and draws nothing: pi_rng is a private
+    per-(phase, vertex) stream, so the output is the same. In phase 1
+    they always are, and run_phases passes no pi_rng.
     """
-    if variant not in ("seq", "mod"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if variant == "mod" and pi_rng is not None:
+    if pi_rng is not None:
         open_heads = _offered_heads(samples, inc_v)
         pool = list(chain.from_iterable(map(samples.__getitem__, map(itemgetter(2), inc_v))))
         # distinct heads are needed for the candidates to be pairwise
@@ -419,7 +415,7 @@ def check_params(n: int, f: int, k: int, c_k: int):
 
 @_collector_paused
 def run_phases(g: Graph, f: int, k: int, *, sample_fn, centers_fn,
-               variant: str = "seq", c_k: int = 20, pi_rng_fn=None,
+               c_k: int = 20, pi_rng_fn=None,
                record_states: bool = False, transport=None):
     """Shared phase driver. sample_fn(i, u, q_paths) supplies the per-vertex
     sample list; centers_fn(i, centers, fans) picks the surviving centers
@@ -471,7 +467,7 @@ def run_phases(g: Graph, f: int, k: int, *, sample_fn, centers_fn,
         fans = {}
         for v in active:
             pi_rng = pi_rng_fn(i, v) if pi_rng_fn is not None and i > 1 else None
-            fans[v] = build_fan(v, q[v], inc[v], seen(v), variant, pi_rng)
+            fans[v] = build_fan(v, q[v], inc[v], seen(v), pi_rng)
         centers_next = centers_fn(i, centers, fans) if i < k else frozenset()
         head_test = transport.heads(centers_next, samples, inc)
 
@@ -559,17 +555,19 @@ def build_ft_spanner(g: Graph, f: int, k: int, seed=0, variant: str = "seq",
     same paths, or under a random permutation when mis="parallel"."""
     n = g.n
     check_params(n, f, k, c_k)
+    if variant not in ("seq", "mod"):
+        raise ValueError(f"unknown variant {variant!r}")
     if mis == "parallel" and variant != "mod":
         raise ValueError(f"need variant 'mod' for mis='parallel', got {variant!r}")
     sample_fn, centers_fn = random_steps(n, f, k, seed)
 
     pi_rng_fn = None
-    if variant == "mod" and mis == "parallel":
+    if mis == "parallel":
         pi_rng_fn = lambda i, v: vertex_stream(seed, "pi", i, v)
 
     spanner, trace, states, iv_summary = run_phases(
-        g, f, k, sample_fn=sample_fn, centers_fn=centers_fn, variant=variant,
-        c_k=c_k, pi_rng_fn=pi_rng_fn, record_states=record_states)
+        g, f, k, sample_fn=sample_fn, centers_fn=centers_fn, c_k=c_k,
+        pi_rng_fn=pi_rng_fn, record_states=record_states)
 
     algo = "meta-seq" if variant == "seq" else "meta-mod"
     result = SpannerResult(
@@ -589,9 +587,7 @@ def build_ft_spanner(g: Graph, f: int, k: int, seed=0, variant: str = "seq",
 # Invariant diagnostics.
 
 def check_invariants(state: PhaseRecord) -> list[str]:
-    """Empty unless a structural invariant is broken. The center-count
-    balance (an expectation-level property) is reported separately via
-    center_ratio(), never as a failure here."""
+    """Empty unless a structural invariant is broken."""
     out: list[str] = []
     i = state.i
     if i == 0:
@@ -681,10 +677,3 @@ def check_invariants(state: PhaseRecord) -> list[str]:
 
     return out
 
-
-def center_ratio(state: PhaseRecord, n: int) -> float:
-    """|Z_i| against f^(i/k) * n^(1-i/k); monitored, not asserted."""
-    if state.i >= state.k:
-        return 0.0
-    expected = state.f ** (state.i / state.k) * n ** (1 - state.i / state.k)
-    return len(state.centers) / expected if expected else 0.0

@@ -1,6 +1,5 @@
 import argparse
 import json
-import math
 import os
 import shlex
 import subprocess
@@ -390,55 +389,29 @@ def test_report_missing_file():
     assert run("report", "--result", "/nonexistent/x.json") == 2
 
 
-_INSTANCE = {"ground": list(range(4)), "sets": [[0, 1]], "delta": 1.0}
 _DROP = object()  # a result_text value that removes the field
 
 
-@pytest.mark.parametrize("argv, result_text, spec, need", [
-    (("build", "--graph", "DIR", "--f", 1), None, _INSTANCE, ""),
-    (("verify", "--graph", "G", "--result", "DIR"), None, _INSTANCE, ""),
-    (("hitting-set", "--instance", "DIR"), None, _INSTANCE, ""),
-    (("report", "--result", "R"), "[1, 2]", _INSTANCE, ""),
-    (("verify", "--graph", "G", "--result", "R"), "[1, 2]", _INSTANCE, ""),
-    (("verify", "--graph", "G", "--result", "R"), {"edges": 5}, _INSTANCE, ""),
-    (("report", "--result", "R"), {"trace": [1]}, _INSTANCE, ""),
-    (("report", "--result", "R"), {"algo": _DROP}, _INSTANCE, "'algo'"),
-    (("report", "--result", "R"), {"trace": [{"phase": 1}]}, _INSTANCE,
-     "no 'centers' field"),
+@pytest.mark.parametrize("argv, result_text, need", [
+    (("build", "--graph", "DIR", "--f", 1), None, ""),
+    (("verify", "--graph", "G", "--result", "DIR"), None, ""),
+    (("report", "--result", "R"), "[1, 2]", ""),
+    (("verify", "--graph", "G", "--result", "R"), "[1, 2]", ""),
+    (("verify", "--graph", "G", "--result", "R"), {"edges": 5}, ""),
+    (("report", "--result", "R"), {"trace": [1]}, ""),
+    (("report", "--result", "R"), {"algo": _DROP}, "'algo'"),
+    (("report", "--result", "R"), {"trace": [{"phase": 1}]}, "no 'centers' field"),
     (("report", "--result", "R"),
      {"trace": [{**dict.fromkeys(PhaseTrace.FIELDS, 0), "centers": "x"}]},
-     _INSTANCE, "'centers' must be an integer"),
-    (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "ground": 5}, ""),
-    (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "sets": [0, 1]}, ""),
-    (("hitting-set", "--instance", "INST"), None, [_INSTANCE], ""),
-    (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "delta": [1]}, ""),
-    (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "delta": math.nan}, ""),
-    (("hitting-set", "--instance", "INST"), None,
-     {**_INSTANCE, "delta": 1, "c": math.nan}, ""),
-    (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "beta": math.inf}, ""),
-    (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "beta": 1.7}, ""),
-    (("hitting-set", "--instance", "INST"), None, {**_INSTANCE, "beta": 2.0}, ""),
-    (("hitting-set", "--instance", "INST"), None,
-     {**_INSTANCE, "ground": [[0], 1]}, ""),
-    (("hitting-set", "--instance", "INST"), None,
-     {**_INSTANCE, "ground": [0, "a"], "sets": [[0, "a"]]}, ""),
-    (("hitting-set", "--instance", "INST"), None,
-     {"ground": [0, 1], "sets": [[0, 1]]}, "'delta'"),
-], ids=["graph-is-directory", "result-is-directory", "instance-is-directory",
+     "'centers' must be an integer"),
+], ids=["graph-is-directory", "result-is-directory",
         "report-result-not-object", "verify-result-not-object",
         "verify-edges-not-list", "report-trace-not-objects", "result-no-algo",
-        "trace-entry-no-field", "trace-field-not-integer",
-        "instance-ground-not-list", "instance-sets-not-lists",
-        "instance-not-object", "instance-delta-not-number",
-        "instance-delta-nan", "instance-c-nan", "instance-beta-inf",
-        "instance-beta-fraction", "instance-beta-float",
-        "instance-ground-not-scalars", "instance-ground-mixed-kinds",
-        "instance-no-delta"])
-def test_bad_input_files_exit_2(tmp_path, capsys, argv, result_text, spec, need):
+        "trace-entry-no-field", "trace-field-not-integer"])
+def test_bad_input_files_exit_2(tmp_path, capsys, argv, result_text, need):
     """result_text replaces the built result file; a dict replaces fields of
     it (and _DROP removes one). need: text the error must contain."""
-    files = {"DIR": tmp_path, "G": tmp_path / "g.txt", "R": tmp_path / "r.json",
-             "INST": tmp_path / "inst.json"}
+    files = {"DIR": tmp_path, "G": tmp_path / "g.txt", "R": tmp_path / "r.json"}
     run("gen", "--kind", "cycle", "--n", 6, "-o", files["G"])
     run("build", "--graph", files["G"], "--f", 1, "--k", 2, "-o", files["R"])
     if isinstance(result_text, dict):
@@ -446,22 +419,9 @@ def test_bad_input_files_exit_2(tmp_path, capsys, argv, result_text, spec, need)
         result_text = json.dumps({k: v for k, v in fields.items() if v is not _DROP})
     if result_text is not None:
         files["R"].write_text(result_text)
-    files["INST"].write_text(json.dumps(spec))
     assert run(*(files.get(a, a) for a in argv)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and need in err
-
-
-def test_hitting_set_command(tmp_path, capsys):
-    inst = tmp_path / "inst.json"
-    inst.write_text(json.dumps({
-        "ground": list(range(12)),
-        "sets": [list(range(12))] * 3,
-        "delta": 4.0,
-    }))
-    assert run("hitting-set", "--instance", inst) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["size"] <= 3
 
 
 def test_readme_cli_block_parses():
@@ -485,7 +445,6 @@ _CLI_FLAGS = {
     "certificate": ["--graph", "--lam", "--seed", "--ck", "--check", "-o/--out"],
     "simulate": ["--graph", "--f", "--k", "--seed", "--cb", "--ck", "--dump-log",
                  "-o/--out"],
-    "hitting-set": ["--instance", "-o/--out"],
     "report": ["--result", "--tsv", "-o/--out"],
 }
 
@@ -497,7 +456,7 @@ def test_cli_flag_inventory():
                     if not isinstance(a, argparse._HelpAction)]
              for name, p in subcommands.items()}
     assert flags == _CLI_FLAGS
-    assert sum(map(len, flags.values())) == 40
+    assert sum(map(len, flags.values())) == 38
 
 
 def test_module_entry_point(tmp_path):

@@ -41,6 +41,13 @@ def test_beta_must_be_a_positive_integer(beta):
         beta_hitting_set(inst)
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf, "2", True, 0.5])
+def test_delta_must_be_a_finite_number_at_least_1(delta):
+    inst = HittingInstance(ground=(0, 1, 2, 3), sets=((0, 1),), delta=delta)
+    with pytest.raises(InadmissibleInstance, match="delta"):
+        beta_hitting_set(inst)
+
+
 def _random_admissible(rng, beta):
     ell = rng.randint(2, 20)
     delta = rng.uniform(1.5, 6.0)

@@ -15,7 +15,7 @@ from ftspanner.congest import simulate_distributed_spanner
 from ftspanner.detkit import build_ft_spanner_det
 from ftspanner.graphs import Graph, Path, generate
 from ftspanner.meta import (FanEntry, Offer, PhaseRecord, build_fan, build_ft_spanner,
-                            center_ratio, check_invariants, choose_cluster,
+                            check_invariants, choose_cluster,
                             le_edge_ids, random_steps, run_phases,
                             sample_fan_paths, shortcut)
 from ftspanner.parmis import PathConflictInstance, lex_first_mis, parallel_greedy_mis
@@ -56,25 +56,16 @@ def test_fan_maximality_post_hoc():
     rng = substream(4, "maximality")
     inc = {v: [(w, eid, u) for (w, eid, u) in g.adj[v]] for v in range(g.n)}
     samples = {u: Offer([Path.trivial(u)]) for u in range(g.n)}
-    for variant in ("seq", "mod"):
-        for v in range(0, g.n, 5):
-            fan = build_fan(v, (Path.trivial(v),), inc[v], samples, variant)
-            covered = set()
-            for e in fan:
-                covered |= e.orig.vset
-            for _, _, u in inc[v]:
-                for p in samples[u]:
-                    assert p.vset & covered, "a disjoint sampled path was left out"
-
-
-def test_fan_variants_differ_only_in_order():
-    # with singleton samples both variants accept every neighbor
-    g = generate("complete", n=8, seed=1)
-    inc = [(w, eid, u) for (w, eid, u) in g.adj[0]]
-    samples = {u: Offer([Path.trivial(u)]) for u in range(1, 8)}
-    f_seq = build_fan(0, (Path.trivial(0),), inc, samples, "seq")
-    f_mod = build_fan(0, (Path.trivial(0),), inc, samples, "mod")
-    assert {e.path.vertices for e in f_seq} == {e.path.vertices for e in f_mod}
+    for v in range(0, g.n, 5):
+        fan = build_fan(v, (Path.trivial(v),), inc[v], samples)
+        covered = set()
+        for e in fan:
+            covered |= e.orig.vset
+        for _, _, u in inc[v]:
+            for p in samples[u]:
+                assert p.vset & covered, "a disjoint sampled path was left out"
+        # singleton samples are pairwise disjoint, so every neighbor joins
+        assert {e.src for e in fan if e.src is not None} == {u for _, _, u in inc[v]}
 
 
 # --- lazy fan entries against the eager fan step ----------------------------
@@ -188,10 +179,9 @@ def fan_cases(draw):
         paths = [_random_path(g, rng, u, rng.randint(0, min(3, n - 2)))
                  for _ in range(rng.randint(0, 4))]
         samples[u] = Offer({p.vertices: p for p in paths}.values())
-    variant, ranked = draw(st.sampled_from(
-        [("seq", False), ("mod", False), ("mod", True)]))
+    ranked = draw(st.booleans())
     heads = frozenset(x for x in range(n) if rng.random() < 0.5)
-    return v, q_v, inc_v, samples, variant, ranked, seed, heads
+    return v, q_v, inc_v, samples, ranked, seed, heads
 
 
 def _full(p):
@@ -205,15 +195,20 @@ def test_lazy_fan_matches_eager_oracle():
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(fan_cases())
     def check(case):
-        v, q_v, inc_v, samples, variant, ranked, seed, heads = case
-        pi = (lambda: substream(seed, "pi")) if ranked else (lambda: None)
-        got = build_fan(v, q_v, inc_v, samples, variant, pi())
-        want = _eager_build_fan(v, q_v, inc_v, samples, variant, pi())
-        assert len(got) == len(want)
-        for e, (path, orig, src, si) in zip(got, want):
-            assert (e.src, e.sample_idx) == (src, si)
-            assert (e.head, e.last_key) == (path.head, path.last_key)
-            assert _full(e.path) == _full(path) and _full(e.orig) == _full(orig)
+        v, q_v, inc_v, samples, ranked, seed, heads = case
+        got = build_fan(v, q_v, inc_v, samples, substream(seed, "pi") if ranked else None)
+        # unranked, the fan is the seq scan and the in-order scan of all
+        # candidates alike: meta-mod repeats meta-seq fan by fan
+        wants = ([_eager_build_fan(v, q_v, inc_v, samples, "mod", substream(seed, "pi"))]
+                 if ranked else [_eager_build_fan(v, q_v, inc_v, samples, scan)
+                                 for scan in ("seq", "mod")])
+        for want in wants:
+            assert len(got) == len(want)
+            for e, (path, orig, src, si) in zip(got, want):
+                assert (e.src, e.sample_idx) == (src, si)
+                assert (e.head, e.last_key) == (path.head, path.last_key)
+                assert _full(e.path) == _full(path) and _full(e.orig) == _full(orig)
+        for path, orig, src, _ in wants[0]:
             cut_entries.append(path.vertices != orig.vertices)
             multi_hop.append(src is not None and orig.hops >= 2)
 
@@ -251,18 +246,18 @@ def test_fan_entry_builds_paths_on_first_access():
 # --- the stopping fan against the eager fan, on real build inputs -----------
 
 def _capture_fans(monkeypatch, build):
-    """(phase, v, q_v, inc_v, samples, variant, pi_state) of every
-    build_fan call of build(); pi_state is the permutation stream's state
-    before the call, None when the fan is not ranked."""
+    """(phase, v, q_v, inc_v, samples, pi_state) of every build_fan call
+    of build(); pi_state is the permutation stream's state before the
+    call, None when no stream was given and the fan is not ranked."""
     real = meta.build_fan
     calls, phase_of = [], {}
 
-    def capture(v, q_v, inc_v, samples, variant="seq", pi_rng=None):
+    def capture(v, q_v, inc_v, samples, pi_rng=None):
         # run_phases builds each clustered vertex's fan once per phase
         i = phase_of[v] = phase_of.get(v, 0) + 1
         state = pi_rng.getstate() if pi_rng is not None else None
-        calls.append((i, v, q_v, inc_v, samples, variant, state))
-        return real(v, q_v, inc_v, samples, variant, pi_rng)
+        calls.append((i, v, q_v, inc_v, samples, state))
+        return real(v, q_v, inc_v, samples, pi_rng)
 
     monkeypatch.setattr(meta, "build_fan", capture)
     build()
@@ -271,7 +266,7 @@ def _capture_fans(monkeypatch, build):
 
 
 def _pi_of(call):
-    state = call[6]
+    state = call[5]
     if state is None:
         return None
     pi_rng = random.Random()
@@ -280,9 +275,9 @@ def _pi_of(call):
 
 
 def _fan_of(call, samples=None):
-    _, v, q_v, inc_v, offered, variant, _ = call
+    _, v, q_v, inc_v, offered, _ = call
     return build_fan(v, q_v, inc_v, offered if samples is None else samples,
-                     variant, _pi_of(call))
+                     _pi_of(call))
 
 
 def _watched_fan(call, read):
@@ -319,8 +314,9 @@ STOPPING_FAN_BUILDS = {
 def _check_stopping_fan(call, heads):
     """call's fan, read in full, by prefix, by choose_cluster at K_f = 1-3
     and by le_edge_ids at every i_v, against the eager fan step."""
-    _, v, q_v, inc_v, samples, variant, _ = call
-    want = _eager_build_fan(v, q_v, inc_v, samples, variant, _pi_of(call))
+    _, v, q_v, inc_v, samples, state = call
+    want = _eager_build_fan(v, q_v, inc_v, samples, "seq" if state is None else "mod",
+                            _pi_of(call))
     ident = lambda e: (e.src, e.sample_idx, e.head, e.last_key)
     want_ids = [(src, si, path.head, path.last_key) for path, _, src, si in want]
 
@@ -365,10 +361,10 @@ def test_stopping_fan_matches_eager_fan_on_real_builds(monkeypatch):
         heads = frozenset(x for x in range(n) if substream(n, "heads", x).random() < 0.3)
         for call in calls:
             _check_stopping_fan(call, heads)
-            i, v, q_v, inc_v, samples, _, state = call
+            i, v, q_v, inc_v, samples, state = call
             if state is not None:
                 pi_rng = _pi_of(call)
-                build_fan(v, q_v, inc_v, samples, "mod", pi_rng)
+                build_fan(v, q_v, inc_v, samples, pi_rng)
                 drew.append(pi_rng.getstate() != state)
                 continue
             offered = {u for _, _, u in inc_v if samples[u]}
@@ -552,13 +548,6 @@ def test_invariants_hold_across_phases():
         assert any(st.i > 0 and st.clustered for st in res.states)
 
 
-def test_center_ratio_monitored_not_asserted():
-    g = generate("gnp", n=200, p=0.3, seed=2)
-    res = build_ft_spanner(g, 1, 2, seed=0, c_k=1, record_states=True)
-    r = center_ratio(res.states[1], 200)
-    assert r > 0
-
-
 def test_injected_violations_detected():
     g = generate("gnp", n=34, p=0.5, seed=11)
     res = build_ft_spanner(g, 1, 2, seed=0, c_k=1, record_states=True)
@@ -610,6 +599,8 @@ def test_precondition_errors():
         build_ft_spanner(g, 10, 2)
     with pytest.raises(ValueError):
         build_ft_spanner(g, 1, 1)
+    with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+        build_ft_spanner(g, 1, 2, variant="bogus")
 
 
 def test_cluster_size_factor_must_be_positive():
@@ -653,7 +644,7 @@ def _check_against_eager(inst, pi_seed):
     q_v, inc_v, samples = inst
     pi_rng = substream(pi_seed, "pi")
     before = pi_rng.getstate()
-    got = build_fan(0, q_v, inc_v, samples, "mod", pi_rng)
+    got = build_fan(0, q_v, inc_v, samples, pi_rng)
     drew = pi_rng.getstate() != before
     want = _eager_build_fan(0, q_v, inc_v, samples, "mod", substream(pi_seed, "pi"))
     assert [(e.src, e.sample_idx, _full(e.path), _full(e.orig)) for e in got] \
@@ -703,7 +694,7 @@ def test_drawn_fan_has_the_random_order_mis_distribution(sample_verts, inherited
             tuple(c[2] for c in alive), pi)))
         for pi in perms)
     runs = 20_000
-    seen = Counter(_accepted(build_fan(0, q_v, inc_v, samples, "mod", substream(s, "pi")))
+    seen = Counter(_accepted(build_fan(0, q_v, inc_v, samples, substream(s, "pi")))
                    for s in range(runs))
     assert set(seen) == set(exact) and len(exact) >= 3
     tv = sum(abs(seen[a] / runs - exact[a] / len(perms)) for a in exact) / 2
@@ -719,22 +710,10 @@ def test_drawn_fan_stops_when_the_pool_runs_out():
         got, drew = _check_against_eager(inst, seed)
         assert drew and len(got) == 2
         pi_rng, replay = substream(seed, "pi"), substream(seed, "pi")
-        build_fan(0, *inst, "mod", pi_rng)
+        build_fan(0, *inst, pi_rng)
         for n in (3, 2, 1):
             replay.randrange(n)
         assert pi_rng.getstate() == replay.getstate()
-
-
-def test_seq_fan_ignores_the_permutation_stream():
-    # the conflicting instance above: mod ranks it, seq must not
-    q_v, inc_v, samples = _fan_instance({1: [(5, 1)], 2: [(5, 2)], 3: [(3,)], 4: [(8, 4)]})
-    pi_rng = substream(11, "pi")
-    before = pi_rng.getstate()
-    got = build_fan(0, q_v, inc_v, samples, "seq", pi_rng)
-    assert pi_rng.getstate() == before
-    want = build_fan(0, q_v, inc_v, samples, "seq")
-    assert [(e.src, e.sample_idx, _full(e.path), _full(e.orig)) for e in got] \
-        == [(e.src, e.sample_idx, _full(e.path), _full(e.orig)) for e in want]
 
 
 def _k40_mod_parallel(pi_rng_fn):
@@ -743,7 +722,7 @@ def _k40_mod_parallel(pi_rng_fn):
     g = generate("complete", n=40, seed=1, weights=(1, 1000))
     sample_fn, centers_fn = random_steps(g.n, 1, 3, 1)
     _, trace, _, _ = run_phases(g, 1, 3, sample_fn=sample_fn, centers_fn=centers_fn,
-                                variant="mod", c_k=1, pi_rng_fn=pi_rng_fn)
+                                c_k=1, pi_rng_fn=pi_rng_fn)
     assert trace[0].clustered == g.n and trace[1].clustered > 0
 
 
@@ -782,8 +761,8 @@ def test_round_mis_takes_the_fans_of_a_real_build(monkeypatch):
     phase_of = {}
     rounds = []
 
-    def checked(v, q_v, inc_v, samples, variant, pi_rng):
-        out = real(v, q_v, inc_v, samples, variant, pi_rng)
+    def checked(v, q_v, inc_v, samples, pi_rng):
+        out = real(v, q_v, inc_v, samples, pi_rng)
         # run_phases builds each clustered vertex's fan once per phase
         i = phase_of[v] = phase_of.get(v, 0) + 1
         used = set().union(*(p.vset for p in q_v))
@@ -792,6 +771,7 @@ def test_round_mis_takes_the_fans_of_a_real_build(monkeypatch):
             vertex_stream(1, "pi", i, v), [c[2] for c in offered], used)
         if sum(map(len, inst.paths)) == len(set().union(*inst.paths)):
             return out
+        assert pi_rng is not None, f"phase {i}: a conflicting fan of {v} got no stream"
         taken, trace = parallel_greedy_mis(inst)
         assert {offered[alive[t]][:2] for t in taken} == \
             {(e.src, e.sample_idx) for e in out if e.src is not None}
