@@ -64,8 +64,18 @@ def test_fan_maximality_post_hoc():
         for _, _, u in inc[v]:
             for p in samples[u]:
                 assert p.vset & covered, "a disjoint sampled path was left out"
-        # singleton samples are pairwise disjoint, so every neighbor joins
-        assert {e.src for e in fan if e.src is not None} == {u for _, _, u in inc[v]}
+
+
+def test_fan_variants_differ_only_in_order():
+    # singleton samples are pairwise disjoint, so the in-order fan and the
+    # ranked fan both accept every neighbor
+    g = generate("complete", n=8, seed=1)
+    inc = [(w, eid, u) for (w, eid, u) in g.adj[0]]
+    samples = {u: Offer([Path.trivial(u)]) for u in range(1, 8)}
+    f_seq = build_fan(0, (Path.trivial(0),), inc, samples)
+    f_mod = build_fan(0, (Path.trivial(0),), inc, samples, substream(1, "pi"))
+    assert {e.path.vertices for e in f_seq} == {e.path.vertices for e in f_mod}
+    assert {e.src for e in f_seq if e.src is not None} == set(range(1, 8))
 
 
 # --- lazy fan entries against the eager fan step ----------------------------
