@@ -185,13 +185,29 @@ def _popped_vertices(monkeypatch):
     return popped
 
 
+def _pushed_vertices(monkeypatch):
+    """Record the vertex of every heap push that verify makes from now on."""
+    pushed = []
+    real = verify.heappush
+
+    def push(heap, item):
+        pushed.append(item[1])
+        real(heap, item)
+
+    monkeypatch.setattr(verify, "heappush", push)
+    return pushed
+
+
 def test_leaf_search_matches_full_search(monkeypatch):
-    # Given v's parents from the same map, the search may return at the
-    # first popped vertex whose fault-free route to v avoids the dead set.
-    # Its distance must be the full search's, and within the bound the
-    # distance in H - F. Unit weights make ties.
+    # Given v's parents from the same map, a leaf search may return once no
+    # key in the heap is below the length of a known u-v walk avoiding the
+    # dead set. Its distance must be the full search's, and within the
+    # bound the distance in H - F. An interior search, which also asks for
+    # the path, only skips pushes above that length, so it must return the
+    # full search's distance and interior path. Unit weights make ties.
     popped = _popped_vertices(monkeypatch)
-    found = []
+    pushed = _pushed_vertices(monkeypatch)
+    found, pruned = [], []
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(host_cases(), st.data())
@@ -205,19 +221,25 @@ def test_leaf_search_matches_full_search(monkeypatch):
             others = [x for x in range(g.n) if x != u and x != v]
             dead = frozenset(data.draw(st.lists(st.sampled_from(others), max_size=2))
                              if others else ())
-            full, _ = _dist_avoid(adj, u, v, dead, bound, goal)
+            pushed.clear()
+            full = _dist_avoid(adj, u, v, dead, bound, goal)
+            full_pushes = len(pushed)
+            pushed.clear()
+            assert _dist_avoid(adj, u, v, dead, bound, goal, route, True) == full
+            pruned.append(len(pushed) < full_pushes and bool(full[1]))
             popped.clear()
             d, _ = _dist_avoid(adj, u, v, dead, bound, goal, route)
-            assert d == full
+            assert d == full[0]
             if d <= bound:
                 assert d == dist(h, u, v, dead)
             found.append((bool(dead), d < INF and v not in popped, d == INF))
 
     check()
-    # Non-vacuous: the exit fires under faults before v is popped, and
-    # both searches fail within the bound.
+    # Non-vacuous: the exit fires under faults before v is popped, both
+    # searches fail within the bound, and interior searches skip pushes.
     assert found.count((True, True, False)) >= 100
     assert found.count((True, False, True)) >= 20
+    assert pruned.count(True) >= 100
 
 
 def test_leaf_searches_pop_at_most_half_of_full_searches(monkeypatch):
@@ -243,6 +265,38 @@ def test_leaf_searches_pop_at_most_half_of_full_searches(monkeypatch):
     popped.clear()
     assert [real(*args[:6])[0] for args in calls] == leaf
     assert leaf_pops * 2 <= len(popped), f"{leaf_pops} pops against {len(popped)}"
+
+
+@pytest.mark.parametrize("n, weights, f, pins", [
+    # K40 unit weights, f=1, k=2: every search is a leaf, and its first
+    # expansion finds a fault-free route below every other key.
+    (40, None, 1, (435, 0, 4_350)),
+    # K40 weights 1..1000, f=2, k=2: 1,381 leaf and 421 interior searches.
+    (40, (1, 1000), 2, (1_802, 24_254, 142_806)),
+])
+def test_route_searches_push_a_fraction_of_full_searches(monkeypatch, n, weights, f, pins):
+    # Replayed without v's parents, the branch searches of a meta-seq
+    # verification (k=2) return the same distances and push at least five
+    # times as many heap entries.
+    g = generate("complete", n=n, seed=1, weights=weights)
+    res = build_ft_spanner(g, f, 2, seed=1, c_k=1)
+    calls = []
+    real = verify._dist_avoid
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "_dist_avoid", recorded)
+    assert verify_spanner(g, res.edges, f, 2).passed
+    monkeypatch.undo()
+    pushed = _pushed_vertices(monkeypatch)
+    routed = [real(*args)[0] for args in calls]
+    route_pushes = len(pushed)
+    pushed.clear()
+    assert [real(*args[:6])[0] for args in calls] == routed
+    assert (len(calls), route_pushes, len(pushed)) == pins
+    assert route_pushes * 5 <= len(pushed)
 
 
 def test_map_at_larger_cutoff_agrees_within_bound():
