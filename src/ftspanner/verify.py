@@ -54,20 +54,31 @@ shortest path, so verdicts, fault-set counts and the worst ratios of
 protected edges do not change; a violated edge's witness is the first
 violated node of the tree that this search builds.
 
-A leaf of the tree, a node with k_eff vertices, is never branched on, so
-its search needs the distance alone, and it stops early: at the first
-popped vertex x whose parent chain in v's map reaches v without meeting
-F, it returns x's distance from u plus goal[x], its fault-free distance
-to v. That sum is the length of a u-v walk avoiding F, so it is at least
-the distance d; if d exceeds the cutoff, so does the sum, and the result
-is INF, as before. If not, the sum is also at most d. For x = u it is
-goal[u], the fault-free distance, at most d. Any other x was popped
-under that sum as its key; while v is not yet popped, some vertex y of a
-shortest u-v path avoiding F waits in the heap at its exact distance
-(the heuristic is consistent), under a key of at most d, so no earlier
-pop has a larger key. Interior nodes, which branch on their path, and a
-violated edge's unbounded witness search still run until v is popped,
-so the tree, every ratio, fault-set count and witness stay the same.
+Fault-free routes: each branching search also gets v's parents, and when
+it is about to push a vertex y, it checks whether y's parent chain in v's
+map (its route) reaches v without meeting F, memoised per search. If so,
+y's distance from u plus goal[y] is the length of a u-v walk avoiding F,
+and the least such length found, UB, is at least the distance d. Keys
+are lower bounds: a vertex's key is at most the length of any u-v path
+through it that extends its search-tree path, as the heuristic is
+consistent. A leaf of the tree, a node with k_eff vertices, is never
+branched on, so its search needs the distance alone: it pushes nothing
+with a key >= UB and returns UB once the heap's least key reaches UB, or
+the heap empties. This is exact. Were d < UB, take a shortest u-v path
+avoiding F and on it the first vertex y not yet expanded; its predecessor
+was expanded at its exact distance and offered y under a key of at most
+d < UB, so y either waits in the heap below UB, or its route was clean
+and UB <= d. UB counts only walks within the cutoff, so an empty heap
+with no walk found means d > cutoff and the result INF. An interior
+node's search, which branches on its path, skips only pushes with a key
+strictly above UB, and returns when v is popped. Such an entry would pop
+after v, whose key is d <= UB, and a later push of the same vertex that
+the full search would refuse has a key larger still; so every pop before
+v, the parents they set and the path returned are the full search's, and
+the tree, every ratio, fault-set count and witness stay the same.
+Returning at UB there too would end on another shortest path at some
+ties, which moves the tree and its number of searches. A violated edge's
+unbounded witness search is plain Dijkstra.
 
 Certificates: h is a lam-certificate of g when, for every fault set F of
 fewer than lam vertices, h minus F has the components of g minus F. Those
@@ -164,37 +175,42 @@ def _interior(parent, u, v):
     return tuple(interior)
 
 
-def _dist_avoid(adj, u: int, v: int, dead: frozenset, cutoff=INF, goal=None, route=None):
+def _dist_avoid(adj, u: int, v: int, dead: frozenset, cutoff=INF, goal=None, route=None,
+                path=False):
     """u-v distance avoiding dead vertices, with the interior vertices of one
     shortest path; (INF, ()) if above cutoff or disconnected.
 
     With goal, the fault-free distances to v from a map of v capped at or
     above cutoff, the search is A*: a vertex y is ordered by its distance
     plus goal[y], and skipped when that sum exceeds cutoff or goal has no
-    entry for it. With route too, that map's parents, the search returns
-    the distance alone, with no interior, at the first popped vertex whose
-    route to v avoids dead."""
+    entry for it. With route too, that map's parents, each vertex about to
+    be pushed whose route to v avoids dead gives a u-v walk of the length of
+    its key, and UB is the least of them: the search pushes nothing with a key >= UB and returns
+    UB, with no interior, once the heap's least key reaches it. With path
+    as well, it skips only keys above UB and returns what the search
+    without route returns.
+    """
     best = {u: 0}
     parent = {}
     heap = [(0, u)]
-    done = set()
+    done = set(dead)
+    ub = INF
+    if route is not None:
+        # clean[x]: whether x's route to v avoids dead, memoised per search
+        clean = dict.fromkeys(dead, False)
+        clean[v] = True
     while heap:
-        _, x = heappop(heap)
+        key, x = heappop(heap)
+        if key >= ub and not path:
+            break
         if x in done:
             continue
         if x == v:
             return best[v], _interior(parent, u, v)
-        if route is not None and x in goal:
-            y = x
-            while y != v and y not in dead:
-                y = route[y]
-            if y == v:
-                d = best[x] + goal[x]
-                return (d, ()) if d <= cutoff else (INF, ())
         done.add(x)
         d = best[x]
         for y, w in adj[x]:
-            if y in dead or y in done:
+            if y in done:
                 continue
             nd = d + w
             if goal is None:
@@ -203,11 +219,32 @@ def _dist_avoid(adj, u: int, v: int, dead: frozenset, cutoff=INF, goal=None, rou
                 est = nd + goal[y]
             else:
                 continue
-            if est <= cutoff and nd < best.get(y, INF):
+            if est > cutoff:
+                continue
+            # a clean y with est >= UB would not lower UB
+            if est < ub and route is not None and _avoids(route, clean, y):
+                ub = est
+            if est > ub or est == ub and not path:
+                continue
+            if nd < best.get(y, INF):
                 best[y] = nd
                 parent[y] = x
                 heappush(heap, (est, y))
-    return INF, ()
+    return ub, ()
+
+
+def _avoids(route, clean, x):
+    """Whether x's route to v avoids dead, given clean, which holds v, the
+    dead vertices and the answers found so far; records the answer for
+    every vertex of the route walked."""
+    walk = []
+    while x not in clean:
+        walk.append(x)
+        x = route[x]
+    ok = clean[x]
+    for y in walk:
+        clean[y] = ok
+    return ok
 
 
 def _relevant(mu, mv, u, v, bound):
@@ -248,7 +285,7 @@ def _branch(adj, u, v, w, bound, k_eff, base, interior, mv, budget):
                 continue
             seen.add(child)
             budget.charge()
-            d, sub = _dist_avoid(adj, u, v, child, bound, goal, route if leaf else None)
+            d, sub = _dist_avoid(adj, u, v, child, bound, goal, route, not leaf)
             if d > bound:
                 return None, child
             worst = max(worst, d)
