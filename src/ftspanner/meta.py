@@ -557,6 +557,8 @@ def build_ft_spanner(g: Graph, f: int, k: int, seed=0, variant: str = "seq",
     check_params(n, f, k, c_k)
     if variant not in ("seq", "mod"):
         raise ValueError(f"unknown variant {variant!r}")
+    if mis not in ("greedy", "parallel"):
+        raise ValueError(f"unknown mis {mis!r}")
     if mis == "parallel" and variant != "mod":
         raise ValueError(f"need variant 'mod' for mis='parallel', got {variant!r}")
     sample_fn, centers_fn = random_steps(n, f, k, seed)

@@ -611,6 +611,8 @@ def test_precondition_errors():
         build_ft_spanner(g, 1, 1)
     with pytest.raises(ValueError, match="unknown variant 'bogus'"):
         build_ft_spanner(g, 1, 2, variant="bogus")
+    with pytest.raises(ValueError, match="unknown mis 'bogus'"):
+        build_ft_spanner(g, 1, 2, variant="mod", mis="bogus")
 
 
 def test_cluster_size_factor_must_be_positive():

@@ -468,6 +468,15 @@ def test_subgraph_must_be_subgraph(gnp30):
         verify_spanner(gnp30, [gnp30.m + 3], 1, 2)
 
 
+def test_edge_ids_m_and_minus_one_are_outside_g(gnp30):
+    # Edge ids run 0..m-1, for both checks.
+    for eid in (gnp30.m, -1):
+        with pytest.raises(ValueError, match=f"edge id {eid} out of range"):
+            verify_spanner(gnp30, [eid], 1, 2)
+        with pytest.raises(ValueError, match=f"edge id {eid} out of range"):
+            verify_certificate(gnp30, [eid], 2)
+
+
 def test_certificate_cycle_passes():
     c6 = generate("cycle", n=6)
     rep = verify_certificate(c6, range(c6.m), 2)
