@@ -184,12 +184,11 @@ def _dist_avoid(adj, u: int, v: int, dead: frozenset, cutoff=INF, goal=None, rou
     above cutoff, the search is A*: a vertex y is ordered by its distance
     plus goal[y], and skipped when that sum exceeds cutoff or goal has no
     entry for it. With route too, that map's parents, each vertex about to
-    be pushed whose route to v avoids dead gives a u-v walk of the length of
-    its key, and UB is the least of them: the search pushes nothing with a key >= UB and returns
-    UB, with no interior, once the heap's least key reaches it. With path
-    as well, it skips only keys above UB and returns what the search
-    without route returns.
-    """
+    be pushed whose route to v avoids dead gives a u-v walk as long as its
+    key, and UB is the least of them: the search pushes nothing with a key
+    >= UB and returns UB, with no interior, once the heap's least key
+    reaches it. With path as well, it skips only keys above UB and returns
+    what the search without route returns."""
     best = {u: 0}
     parent = {}
     heap = [(0, u)]

@@ -242,12 +242,10 @@ def test_leaf_search_matches_full_search(monkeypatch):
     assert pruned.count(True) >= 100
 
 
-def test_leaf_searches_pop_at_most_half_of_full_searches(monkeypatch):
-    # K40 unit-weight meta-seq at f=1, k=2: every branch search is a leaf.
-    # Replayed without v's parents, the same searches pop at least twice
-    # as many heap entries, and return the same distances.
-    g = generate("complete", n=40, seed=1)
-    res = build_ft_spanner(g, 1, 2, seed=1, c_k=1)
+def _branch_searches(monkeypatch, g, f):
+    """The arguments of every path search that verifying a meta-seq build
+    of g (k=2, c_k=1, seed 1) makes; the verification must pass."""
+    res = build_ft_spanner(g, f, 2, seed=1, c_k=1)
     calls = []
     real = verify._dist_avoid
 
@@ -256,8 +254,17 @@ def test_leaf_searches_pop_at_most_half_of_full_searches(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(verify, "_dist_avoid", recorded)
-    assert verify_spanner(g, res.edges, 1, 2).passed
+    assert verify_spanner(g, res.edges, f, 2).passed
     monkeypatch.undo()
+    return calls
+
+
+def test_leaf_searches_pop_at_most_half_of_full_searches(monkeypatch):
+    # K40 unit-weight meta-seq at f=1, k=2: every branch search is a leaf.
+    # Replayed without v's parents, the same searches pop at least twice
+    # as many heap entries, and return the same distances.
+    calls = _branch_searches(monkeypatch, generate("complete", n=40, seed=1), 1)
+    real = verify._dist_avoid
     assert len(calls) == 435
     popped = _popped_vertices(monkeypatch)
     leaf = [real(*args)[0] for args in calls]
@@ -278,18 +285,8 @@ def test_route_searches_push_a_fraction_of_full_searches(monkeypatch, n, weights
     # Replayed without v's parents, the branch searches of a meta-seq
     # verification (k=2) return the same distances and push at least five
     # times as many heap entries.
-    g = generate("complete", n=n, seed=1, weights=weights)
-    res = build_ft_spanner(g, f, 2, seed=1, c_k=1)
-    calls = []
+    calls = _branch_searches(monkeypatch, generate("complete", n=n, seed=1, weights=weights), f)
     real = verify._dist_avoid
-
-    def recorded(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(verify, "_dist_avoid", recorded)
-    assert verify_spanner(g, res.edges, f, 2).passed
-    monkeypatch.undo()
     pushed = _pushed_vertices(monkeypatch)
     routed = [real(*args)[0] for args in calls]
     route_pushes = len(pushed)
