@@ -633,6 +633,91 @@ def test_zero_edge_graph():
     assert res.edge_count == 0
 
 
+# --- deferral against the rule per edge -------------------------------------
+
+DEFERRAL_GRAPHS = {
+    "gnp": lambda: generate("gnp", n=60, p=0.3, seed=3, weights=(1, 1000)),
+    "complete": lambda: generate("complete", n=40, seed=1, weights=(1, 1000)),
+}
+
+
+def _rule_inc(inc, thr, bought, why):
+    """Each clustered vertex's next remaining edges by the rule written out
+    per edge; why counts the edges past v's threshold that stay by each
+    clause."""
+    out = {}
+    for v in thr:
+        keep = []
+        for w, eid, u in inc[v]:
+            if (w, eid) <= thr[v]:
+                continue
+            if u not in thr:
+                why["unclustered"] += 1
+            elif eid in bought:
+                why["bought"] += 1
+            elif (w, eid) <= thr[u]:
+                why["below u"] += 1
+            else:
+                keep.append((w, eid, u))
+        out[v] = keep
+    return out
+
+
+def _check_deferral(g, calls, trace, why):
+    """calls: each phase's (inc, thr, bought) as edge_state received them.
+    Each phase's next inc is the one the following phase received; after
+    the last phase nothing remains."""
+    assert len(calls) == len(trace)
+    nexts = [c[0] for c in calls[1:]] + [{}]
+    for (inc, thr, bought), got, t in zip(calls, nexts, trace):
+        want = _rule_inc(inc, thr, bought, why)
+        assert got == want, f"phase {t.phase}"
+        assert t.remaining == sum(map(len, want.values())) // 2
+
+
+class _RecordingExchange(meta.LocalExchange):
+    def __init__(self):
+        self.calls = []
+
+    def edge_state(self, inc, thr, le, bought):
+        # run_phases adds the new cluster paths' edges to bought afterwards
+        self.calls.append((inc, dict(thr), set(bought)))
+        return super().edge_state(inc, thr, le, bought)
+
+
+@pytest.mark.parametrize("k", (2, 3))
+def test_deferral_follows_the_rule_per_edge(k, monkeypatch):
+    """Every phase's next remaining edges of run_phases (LocalExchange)
+    and of the simulation (Network) are those the rule keeps: key above
+    both thresholds, u clustered, bought by neither endpoint."""
+    from ftspanner import congest
+
+    why = Counter()
+    kept = 0
+    real = congest.Network.edge_state
+    for make in DEFERRAL_GRAPHS.values():
+        g = make()
+        sample_fn, centers_fn = random_steps(g.n, 1, k, 1)
+        rec = _RecordingExchange()
+        _, trace, _, _ = run_phases(g, 1, k, sample_fn=sample_fn, centers_fn=centers_fn,
+                                    c_k=1, transport=rec)
+        _check_deferral(g, rec.calls, trace, why)
+        kept += trace[0].remaining
+
+        calls = []
+
+        def spy(net, inc, thr, le, bought):
+            calls.append((inc, dict(thr), set(bought)))
+            return real(net, inc, thr, le, bought)
+
+        monkeypatch.setattr(congest.Network, "edge_state", spy)
+        res, _ = simulate_distributed_spanner(g, 1, k, seed=1, c_k=1)
+        monkeypatch.setattr(congest.Network, "edge_state", real)
+        _check_deferral(g, calls, res.trace, why)
+    assert kept > 0
+    assert min(why[c] for c in ("unclustered", "bought", "below u")) > 0, why
+
+
 # --- the conflict-free fan skips the MIS ------------------------------------
 
 def _fan_instance(sample_verts, inherited=((0,),)):
