@@ -197,8 +197,26 @@ def cmd_report(args) -> int:
     for t in res.trace:
         lines.append(f"phase {t.phase}: centers={t.centers} clustered={t.clustered}"
                      f" new_edges={t.new_edges} remaining={t.remaining}")
+    iv = res.extras.get("iv")
+    if iv:
+        lines.extend(_iv_law(res, iv))
     _write("\n".join(lines) + "\n", args.out)
     return 0
+
+
+def _iv_law(res: SpannerResult, iv) -> list[str]:
+    """Each phase's i_v count, mean and max beside the negative-binomial
+    mean K_f/p, p = (f/n)^(1/k), and the mean degree 2m/n: a vertex
+    buys its edges into about K_f/p fan entries, so degrees not well
+    above K_f/p keep nearly every edge."""
+    k_f, f, k = res.extras["k_f"], res.params["f"], res.params["k"]
+    p = (f / res.n) ** (1 / k)
+    lines = [f"i_v law: K_f/p={k_f / p:.1f} (K_f={k_f} p={p:.4f})"
+             f" mean_degree={2 * res.m / res.n:.1f}"]
+    for d in iv:
+        lines.append(f"phase {d['phase']} i_v: count={d['count']}"
+                     f" mean={d['mean']} max={d['max']}")
+    return lines
 
 
 def make_parser() -> argparse.ArgumentParser:

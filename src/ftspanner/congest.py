@@ -14,7 +14,10 @@ announces the surviving centers down the previous clustering's trees
 and then (d) sends each neighbor a bitmask telling which of the
 transmitted samples head a surviving cluster; (e) `edge_state` follows
 the local cluster/purchase decisions with one exchange that settles the
-deferred-edge set; (f) `register` lets owners register the new cluster
+deferred-edge set: each vertex learns from its inbox which of its edges
+are held (bought by either endpoint, at or below the neighbor's
+threshold, or to a neighbor that did not cluster) and defers the others
+above its own threshold; (f) `register` lets owners register the new cluster
 trees edge by edge so the next phase can broadcast on them. Every random
 draw comes from the per-(vertex, phase) streams the sequential build
 uses, so the simulated output matches it edge for edge.
@@ -193,8 +196,9 @@ class Network:
     def edge_state(self, inc, thr, le, bought):
         """(e) Tell every remaining-edge neighbor whether v clustered, its
         threshold key if so, and whether v bought the edge. Returns
-        v -> (clustered neighbor -> its threshold key, edge ids v knows
-        were bought by either endpoint)."""
+        v -> the ids of v's edges that v must not defer, read from v's
+        purchases and inbox: bought by either endpoint, at or below the
+        neighbor's threshold key, or to a neighbor that did not cluster."""
         key_bits = self.weight_bits + self.edge_id_bits
         le = {v: set(ids) for v, ids in le.items()}
         sends = []
@@ -207,14 +211,12 @@ class Network:
         inbox, _ = self.transmit("edge-state", sends)
 
         def peer(v):
-            thr_of, seen, box = {}, set(le[v]), inbox[v]
+            held, box = set(le[v]), inbox[v]
             for w, eid, u in inc[v]:
                 ok_u, thr_u, le_u = box[u]
-                if ok_u:
-                    thr_of[u] = thr_u
-                if le_u:
-                    seen.add(eid)
-            return thr_of, seen
+                if le_u or not ok_u or (w, eid) <= thr_u:
+                    held.add(eid)
+            return held
         return peer
 
     def register(self, q):

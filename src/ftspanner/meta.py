@@ -17,7 +17,11 @@ method per message step (paths, heads, edge_state, register):
 LocalExchange answers from the driver's own dicts for the sequential
 builds, congest.Network transmits real messages for the simulation. The
 per-vertex steps are pure functions of local data, and all randomness
-flows through per-(vertex, phase) streams.
+flows through per-(vertex, phase) streams. edge_state answers with the
+set of each vertex's held edge ids (bought by either endpoint, at or
+below the other endpoint's threshold, or to a neighbor that did not
+cluster), so deferring costs one set lookup per edge above the vertex's
+threshold, and the next phase's lists reuse G's adjacency tuples.
 
 A fan hands out its entries in last_key order but builds them only as
 far as they are read (choose_cluster reads up to i_v, le_edge_ids below
@@ -27,7 +31,11 @@ rules. Both rest on two facts: a later acceptance must be disjoint from
 - Prefix rule. A path's last_key is the key of the edge into v from one
   of its vertices, and a later accepted path has all its vertices
   outside `used`. So no later entry sorts below LB, the least key of a
-  neighbor outside `used`, and every entry below LB is final.
+  neighbor outside `used`, and every entry below LB is final. The same
+  order bounds the cleanup: a candidate offered by neighbor u ends at u,
+  and every neighbor later in inc_v has a heavier edge than u's, so the
+  lightest edge into v from the path is among the neighbors read so
+  far. The scan's edge map holds only those.
 - Saturation rule. A phase-i candidate is a sampled cluster path of
   phase i-1, and contains its head, a center of Z_{i-1}. So once every
   head among v's offered samples is in `used`, no later candidate is
@@ -310,8 +318,11 @@ def _scan(v, q_v, inc_v, samples, done):
     heap = sorted((e.last_key, t, e) for t, e in enumerate(map(FanEntry, q_v)))
     tick = count(len(heap))
     lo = 0  # inc_v[lo] is the lightest neighbor outside used
+    # neighbor -> key over inc_v[:j+1], from the first multi-vertex candidate
     edge_of = open_heads = None
-    for w, eid, u in inc_v:
+    for j, (w, eid, u) in enumerate(inc_v):
+        if edge_of is not None:
+            edge_of[u] = (w, eid)
         for si, p in enumerate(samples[u]):
             if p.vset.isdisjoint(used):
                 break
@@ -326,7 +337,7 @@ def _scan(v, q_v, inc_v, samples, done):
             cut, best = 0, (w, eid)
         else:
             if edge_of is None:
-                edge_of = {x: (w, eid) for w, eid, x in inc_v}
+                edge_of = {x: (xw, xe) for xw, xe, x in inc_v[: j + 1]}
             cut, best = _lightest(p.vertices, edge_of)
         heappush(heap, (best, next(tick), FanEntry(p, u, si, v, (w, eid), cut, best)))
         if open_heads is not None:
@@ -361,10 +372,19 @@ def choose_cluster(entries, is_sampled_head, k_f: int):
 
 def le_edge_ids(entries, i_v: int, inc_v) -> list[int]:
     """Step 3 edge purchases: remaining edges from the owner into the
-    pre-shortcut vertices of every fan entry before position i_v."""
+    pre-shortcut vertices of every fan entry before position i_v.
+
+    When each of those entries is a one-vertex path, as in every phase-1
+    fan, the answer is read off the entries: a neighbor's path holds only
+    that neighbor, whose edge is the entry's key and its last_key, so the
+    keys come in inc_v's order; the owner's own trivial path adds no
+    edge. Otherwise inc_v is scanned."""
+    before = entries[: i_v - 1]
+    if all(len(e.base.vertices) == 1 for e in before):
+        return [e.key[1] for e in before if e.src is not None]
     pre: set[int] = set()
     # base.vset is orig.vset without the owner, who is not its own neighbor
-    for e in entries[: i_v - 1]:
+    for e in before:
         pre |= e.base.vset
     return [eid for (w, eid, u) in inc_v if u in pre]
 
@@ -381,10 +401,24 @@ class LocalExchange:
         return lambda v: is_head
 
     def edge_state(self, inc, thr, le, bought):
-        return lambda v: (thr, bought)
+        # one set serves every vertex: an edge id is held by an endpoint
+        # that bought it, clustered below its threshold, or did not cluster
+        held = set()
+        if thr:
+            held.update(bought)
+            for v, inc_v in inc.items():
+                if v in thr:
+                    inc_v = inc_v[:_above(inc_v, thr[v])]
+                held.update(map(itemgetter(1), inc_v))
+        return lambda v: held
 
     def register(self, q):
         pass
+
+
+def _above(inc_v, key) -> int:
+    """Index of the first edge of inc_v heavier than key."""
+    return bisect_right(inc_v, key, key=itemgetter(0, 1))
 
 
 def _collector_paused(fn):
@@ -427,8 +461,10 @@ def run_phases(g: Graph, f: int, k: int, *, sample_fn, centers_fn,
     transport carries each message step; LocalExchange when None.
       paths(samples, inc) -> v -> {neighbor: its sample list}
       heads(centers, samples, inc) -> v -> test of v's fan entries
-      edge_state(inc, thr, le, bought) -> v -> (neighbor -> threshold key
-        of each clustered neighbor, edge ids v knows were bought)
+      edge_state(inc, thr, le, bought) -> v -> the held ids among v's
+        edges above thr[v]: those bought by either endpoint, at or below
+        the neighbor's threshold key, or to a neighbor that did not
+        cluster. v defers exactly its other edges above thr[v].
       register(q) stores the new cluster trees, called before phases < k
 
     The cyclic collector is paused for the whole call. A build allocates
@@ -485,21 +521,16 @@ def run_phases(g: Graph, f: int, k: int, *, sample_fn, centers_fn,
             new_edges.update(le[v])
         thr = {v: max(p.last_key for p in q_v) for v, q_v in q_next.items()}
         # new_edges holds exactly the bought edges until the loop below ends
-        peer = transport.edge_state(inc, thr, le, new_edges)
+        held = transport.edge_state(inc, thr, le, new_edges)
 
         # An edge (v, u) is deferred when ok_u and key > thr_v and
-        # key > thr_u and eid not in le_v and not le_u.
+        # key > thr_u and eid not in le_v and not le_u. The lists keep
+        # G's adjacency tuples, and each edge is in both endpoints' lists.
         inc_next: dict[int, list] = {}
-        rem_next: set[int] = set()
         for v, tv in thr.items():
-            thr_of, bought = peer(v)
-            keep = []
+            held_v = held(v)
             inc_v = inc[v]
-            for w, eid, u in inc_v[bisect_right(inc_v, tv, key=itemgetter(0, 1)):]:
-                if u in thr_of and eid not in bought and (w, eid) > thr_of[u]:
-                    keep.append((w, eid, u))
-                    rem_next.add(eid)
-            inc_next[v] = keep
+            inc_next[v] = [t for t in inc_v[_above(inc_v, tv):] if t[1] not in held_v]
         for q_v in q_next.values():
             for p in q_v:
                 new_edges.update(p.edges)
@@ -510,7 +541,7 @@ def run_phases(g: Graph, f: int, k: int, *, sample_fn, centers_fn,
         clustered_next = frozenset(q_next)
 
         trace.append(PhaseTrace(i, len(centers_next), len(clustered_next),
-                                len(new_edges), len(rem_next),
+                                len(new_edges), sum(map(len, inc_next.values())) // 2,
                                 time.perf_counter() - t0))
         iv_summary.append({
             "phase": i,
@@ -521,7 +552,8 @@ def run_phases(g: Graph, f: int, k: int, *, sample_fn, centers_fn,
         if record_states:
             states.append(PhaseRecord(
                 i, k, f, k_f, centers_next, clustered_next, q_next,
-                frozenset(spanner), frozenset(rem_next),
+                frozenset(spanner),
+                frozenset(map(itemgetter(1), chain.from_iterable(inc_next.values()))),
                 prev_centers=centers, prev_clustered=clustered, prev_q=q))
         centers, clustered, q, inc = centers_next, clustered_next, q_next, inc_next
 

@@ -13,6 +13,7 @@ center this vertex has not observed.
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 from ftspanner.graphs import Graph
 from ftspanner.meta import C_S, check_params
@@ -37,11 +38,11 @@ def build_3spanner(g: Graph, f: int, seed=0,
     max_center_key: dict[int, tuple[int, int]] = {}
     unclustered = set()
     for v in range(n):
-        hits = [(w, eid, x) for (w, eid, x) in g.adj[v] if x in centers]
-        if len(hits) < need:
+        # adjacency is already (w, id)-sorted
+        chosen = list(islice((t for t in g.adj[v] if t[2] in centers), need))
+        if len(chosen) < need:
             unclustered.add(v)
             continue
-        chosen = hits[:need]  # adjacency is already (w, id)-sorted
         s_of[v] = [x for _, _, x in chosen]
         center_edge[v] = {x: eid for _, eid, x in chosen}
         max_center_key[v] = (chosen[-1][0], chosen[-1][1])

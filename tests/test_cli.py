@@ -376,6 +376,30 @@ def test_report_human_and_tsv(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("phase\t")
 
 
+def test_report_shows_the_iv_law(tmp_path, capsys):
+    g = tmp_path / "g.txt"
+    r = tmp_path / "r.json"
+    w = tmp_path / "w.json"
+    run("gen", "--kind", "complete", "--n", 60, "--weights", "1:1000", "--seed", 1, "-o", g)
+    run("build", "--graph", g, "--f", 1, "--k", 3, "--ck", 1, "--seed", 1, "-o", r)
+    text = r.read_text()
+    iv = json.loads(text)["extras"]["iv"]
+    assert iv[0]["count"] > 0
+    assert run("report", "--result", r) == 0
+    out = capsys.readouterr().out.splitlines()
+    # K_f = c_k*k*f = 3 and p = (1/60)^(1/3); every degree is 59
+    k_f_over_p = 3 / (1 / 60) ** (1 / 3)
+    assert f"i_v law: K_f/p={k_f_over_p:.1f} (K_f=3 p={(1 / 60) ** (1 / 3):.4f})" \
+           f" mean_degree=59.0" in out
+    for d in iv:
+        assert (f"phase {d['phase']} i_v: count={d['count']} mean={d['mean']}"
+                f" max={d['max']}") in out
+    assert r.read_text() == text  # report leaves the JSON as it was
+    run("build", "--graph", g, "--f", 1, "--algo", "warmup", "-o", w)
+    assert run("report", "--result", w) == 0
+    assert "i_v" not in capsys.readouterr().out
+
+
 def test_report_zero_edge_graph(tmp_path, capsys):
     g = tmp_path / "g.txt"
     r = tmp_path / "r.json"

@@ -486,6 +486,33 @@ def test_le_edges_cases():
     got = le_edge_ids(entries, len(entries) + 1, inc)
     assert got == [7, 8]
 
+    # a phase-1 fan: the owner's trivial path, then one-vertex paths
+    inc = [(2, 5, 3), (4, 6, 1), (7, 8, 2)]
+    fan = build_fan(0, (Path.trivial(0),), inc,
+                    {u: Offer([Path.trivial(u)]) for _, _, u in inc})
+    assert [len(e.base.vertices) for e in fan] == [1, 1, 1, 1]
+    for i_v in range(1, len(fan) + 2):
+        assert le_edge_ids(fan, i_v, inc) == _le_by_scan(fan, i_v, inc)
+    assert le_edge_ids(fan, len(fan) + 1, inc) == [5, 6, 8]
+
+    # phase >= 2: a surviving center's trivial path (c) follows a path
+    # through z, whose own edge into the owner is heavier and is bought
+    z, b, c = 1, 2, 3
+    inc = [(2, 11, b), (5, 12, c), (7, 13, z)]
+    samples = {b: Offer([path_of(z, b)]), c: Offer([Path.trivial(c)]), z: Offer([])}
+    fan = build_fan(0, (Path.trivial(0),), inc, samples)
+    assert [len(e.base.vertices) for e in fan] == [1, 2, 1]
+    for i_v in range(1, len(fan) + 2):
+        assert le_edge_ids(fan, i_v, inc) == _le_by_scan(fan, i_v, inc)
+    assert le_edge_ids(fan, len(fan) + 1, inc) == [11, 12, 13]
+
+
+def _le_by_scan(entries, i_v, inc_v):
+    """The purchases by their definition: the remaining edges into the
+    pre-shortcut vertices of the entries before i_v, in inc_v order."""
+    pre = set().union(*(e.base.vset for e in entries[: i_v - 1]))
+    return [eid for (_, eid, u) in inc_v if u in pre]
+
 
 def test_sample_paths_dedup_and_determinism():
     paths = tuple(path_of(i, 50) for i in range(6))
@@ -669,10 +696,13 @@ def _check_deferral(g, calls, trace, why):
     the last phase nothing remains."""
     assert len(calls) == len(trace)
     nexts = [c[0] for c in calls[1:]] + [{}]
+    adj_ids = {id(t) for ts in g.adj for t in ts}
     for (inc, thr, bought), got, t in zip(calls, nexts, trace):
         want = _rule_inc(inc, thr, bought, why)
         assert got == want, f"phase {t.phase}"
         assert t.remaining == sum(map(len, want.values())) // 2
+        # the lists reuse the graph's adjacency tuples
+        assert all(id(x) in adj_ids for ts in got.values() for x in ts)
 
 
 class _RecordingExchange(meta.LocalExchange):
