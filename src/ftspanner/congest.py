@@ -9,7 +9,11 @@ The simulation is meta.run_phases with a Network as its transport. Each
 of the driver's message steps is a Network method, and each answer it
 gives a vertex is read from that vertex's own state and inbox: (a)
 `paths`: each clustered vertex pipelines its sampled cluster paths to its
-remaining-edge neighbors; (b) the fan computation is local; (c) `heads`
+remaining-edge neighbors; (b) the fan computation is local: each vertex
+builds its fan from the sample lists in its own inbox. The saturation
+bound run_phases hands every fan (the heads offered anywhere in the
+phase) is not a message: it only ends a vertex's own scan early and
+never changes the fan, so no message depends on it; (c) `heads`
 announces the surviving centers down the previous clustering's trees
 and then (d) sends each neighbor a bitmask telling which of the
 transmitted samples head a surviving cluster; (e) `edge_state` follows

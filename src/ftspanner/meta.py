@@ -37,9 +37,27 @@ rules. Both rest on two facts: a later acceptance must be disjoint from
   lightest edge into v from the path is among the neighbors read so
   far. The scan's edge map holds only those.
 - Saturation rule. A phase-i candidate is a sampled cluster path of
-  phase i-1, and contains its head, a center of Z_{i-1}. So once every
-  head among v's offered samples is in `used`, no later candidate is
-  disjoint, in any scan order, and the scan stops.
+  phase i-1, and contains its head, a center of Z_{i-1}. So once no head
+  that can still be offered lies outside `used`, no later candidate is
+  disjoint, in any scan order, and the scan stops; any superset of the
+  offered heads keeps this sound. run_phases computes one such bound
+  per phase, the heads of all its sample lists, and a scan stops once
+  the bound is inside `used`. Until then a witness probe decides: only
+  neighbors later in inc_v can still offer candidates, so the scan stops
+  once none of them offers a head outside `used`. As `used` only grows,
+  a neighbor without such a head never regains one, and the probe's
+  pointer to the next possible witness only moves forward. Over a scan
+  the probe tests each neighbor it passes once, plus the witness once
+  per probe, so it costs O(sum of the passed head sets + probes), where
+  a scan without a bound unions every neighbor's head set at its first
+  blocked neighbor.
+
+In phase 1 every cluster path is its vertex's trivial path, so every
+candidate is a distinct neighbor's one-vertex path, whose last key is
+its own edge into v. The phase-1 fan is therefore the owner's trivial
+path followed by one entry per neighbor in inc_v order, and run_phases
+asks build_fan for it without a scan: no `used` set, heap or
+disjointness test.
 
 mod-parallel's ranked fan draws its order as it scans: each step
 swap-pops a uniform position of the offered samples not yet drawn. The
@@ -48,8 +66,13 @@ samples; restricted to the candidates disjoint from the inherited
 paths, that is a uniform permutation of them. A candidate met after
 saturation is never accepted, so the prefix takes the same lex-first
 MIS as the whole permutation would, and the draw stops there (or when
-nothing is left to draw). Fans whose candidates are pairwise disjoint
-are not ranked and draw nothing.
+nothing is left to draw). With the phase's bound it stops when the
+bound is inside `used`; the draws it makes past the fan's own
+saturation come from the vertex's private stream and are never
+accepted. Fans whose candidates are pairwise disjoint are not ranked
+and draw nothing. Each uniform position is drawn as randrange draws it
+(CPython's _randbelow_with_getrandbits: getrandbits of n's bit length,
+redrawn while not below n), inline, so every stream stays put.
 """
 
 from __future__ import annotations
@@ -169,7 +192,8 @@ class Fan:
 
 class Offer(tuple):
     """A vertex's sample list as its neighbors receive it; heads is
-    computed once per sender, when a receiver's scan first needs it."""
+    computed once per sender, when run_phases takes the phase's
+    saturation bound or a scan first needs it."""
 
     @functools.cached_property
     def heads(self) -> frozenset:
@@ -199,8 +223,14 @@ def sample_fan_paths(qpaths, rng, count: int) -> list[Path]:
         return list(qpaths)
     seen = set()
     out = []
+    n = len(qpaths)
+    bits = n.bit_length()
+    getrandbits = rng.getrandbits
     for _ in range(count):
-        p = qpaths[rng.randrange(len(qpaths))]
+        j = getrandbits(bits)  # rng.randrange(n); see the module docstring
+        while j >= n:
+            j = getrandbits(bits)
+        p = qpaths[j]
         if p.vertices not in seen:
             seen.add(p.vertices)
             out.append(p)
@@ -231,17 +261,23 @@ def shortcut(path: Path, edge_of: dict[int, tuple[int, int]]) -> Path:
     return path.prefix_to(best_idx).extend(verts[-1], best[1], best)
 
 
-def build_fan(v: int, q_v, inc_v, samples, pi_rng=None) -> Fan:
+def build_fan(v: int, q_v, inc_v, samples, pi_rng=None, *, bound=None,
+              first_phase: bool = False) -> Fan:
     """Step 1 for a single vertex: maximal disjoint paths to adjacent
     clusters, shortcut, ordered by last-edge key. The Fan scans only as
     far as it is read. Entries below the least key of a neighbor outside
-    the fan are final (prefix rule), and once every offered head is in
-    the fan the scan stops (saturation rule); the module docstring
-    proves both.
+    the fan are final (prefix rule), and once no head that can still be
+    offered lies outside the fan the scan stops (saturation rule); the
+    module docstring proves both.
 
     inc_v: remaining incident edges as (w, eid, u), ascending by (w, eid).
     samples: neighbor -> stored sample list (only entries for inc_v
     neighbors are read).
+    bound: a superset of the heads offered to v, or None. The scan stops
+    once it is inside the fan, else once no later neighbor offers a head
+    outside it; without a bound, once every offered head is in the fan.
+    first_phase: the phase-1 fan, which is built without a scan: q_v is
+    v's trivial path and each neighbor offers its own trivial path.
 
     The scan in inc_v order accepts every disjoint candidate; as every
     sample of u ends at u, at most one per neighbor.
@@ -249,24 +285,28 @@ def build_fan(v: int, q_v, inc_v, samples, pi_rng=None) -> Fan:
     Given a pi_rng, the fan is ranked: it takes the lex-first MIS of the
     candidates under a uniform random order, drawn from pi_rng only as
     far as the scan reads it: a forward Fisher-Yates draw over the
-    offered samples that stops at saturation or when the pool is empty
-    (the module docstring says why that prefix suffices). The fan is
-    complete when returned. parmis's round MIS on the completed order
-    takes the same set (acceptance 06), and the PRAM depth refers to it.
-    When the candidates are pairwise disjoint any order takes them all,
-    so the fan scans in order and draws nothing: pi_rng is a private
-    per-(phase, vertex) stream, so the output is the same. In phase 1
-    they always are, and run_phases passes no pi_rng.
+    offered samples that stops at saturation (of the bound, when given)
+    or when the pool is empty (the module docstring says why that prefix
+    suffices). The fan is complete when returned. parmis's round MIS on
+    the completed order takes the same set (acceptance 06), and the PRAM
+    depth refers to it. When the candidates are pairwise disjoint any
+    order takes them all, so the fan scans in order and draws nothing:
+    pi_rng is a private per-(phase, vertex) stream, so the output is the
+    same. In phase 1 they always are, and run_phases passes no pi_rng.
     """
-    if pi_rng is not None:
-        open_heads = _offered_heads(samples, inc_v)
-        pool = list(chain.from_iterable(map(samples.__getitem__, map(itemgetter(2), inc_v))))
-        # distinct heads are needed for the candidates to be pairwise
-        # disjoint, and cheap to count; only then are the vsets compared
-        if len(open_heads) < len(pool) or _overlap(pool):
-            return Fan(_drawn_fan(v, q_v, inc_v, samples, pool, open_heads, pi_rng), None)
     done: list[FanEntry] = []
-    scan = _scan(v, q_v, inc_v, samples, done)
+    if first_phase:
+        scan = _neighbor_fan(v, q_v, inc_v, samples, done)
+    else:
+        if pi_rng is not None:
+            pool = list(chain.from_iterable(map(samples.__getitem__, map(itemgetter(2), inc_v))))
+            heads = _offered_heads(samples, inc_v) if bound is None else bound
+            # two paths with one head overlap, so fewer heads than paths
+            # (the bound's count suffices) settles it cheaply; only
+            # otherwise are the vsets compared
+            if len(heads) < len(pool) or _overlap(pool):
+                return Fan(_drawn_fan(v, q_v, inc_v, samples, pool, heads, pi_rng), None)
+        scan = _scan(v, q_v, inc_v, samples, done, bound)
     next(scan)
     return Fan(done, scan)
 
@@ -282,18 +322,23 @@ def _overlap(paths) -> bool:
     return sum(map(len, vsets)) != len(frozenset().union(*vsets))
 
 
-def _drawn_fan(v, q_v, inc_v, samples, pool, open_heads, pi_rng) -> list:
+def _drawn_fan(v, q_v, inc_v, samples, pool, heads, pi_rng) -> list:
     """The ranked fan of build_fan: the pool's candidates in a uniform
     random order, drawn one at a time by swap-popping a uniform position
     of what is left, each accepted when disjoint from the fan so far,
-    until saturation or the pool's end."""
+    until every one of heads is in the fan or the pool ends."""
     used = set().union(*(p.vset for p in q_v))
+    open_heads = set(heads)
     open_heads -= used
     edge_of = {u: (w, eid) for w, eid, u in inc_v}
     entries = [FanEntry(p) for p in q_v]
-    draw = pi_rng.randrange
+    getrandbits = pi_rng.getrandbits
     while open_heads and pool:
-        j = draw(len(pool))
+        n = len(pool)
+        bits = n.bit_length()
+        j = getrandbits(bits)  # pi_rng.randrange(n)
+        while j >= n:
+            j = getrandbits(bits)
         p = pool[j]
         pool[j] = pool[-1]
         pool.pop()
@@ -307,7 +352,20 @@ def _drawn_fan(v, q_v, inc_v, samples, pool, open_heads, pi_rng) -> list:
     return entries
 
 
-def _scan(v, q_v, inc_v, samples, done):
+def _neighbor_fan(v, q_v, inc_v, samples, done):
+    """The phase-1 fan behind build_fan's Fan, with _scan's protocol: the
+    owner's trivial entry, then each neighbor's own one-vertex path, in
+    inc_v order, whose last key is the neighbor's edge."""
+    want = yield
+    done.extend(map(FanEntry, q_v))
+    for w, eid, u in inc_v:
+        if len(done) >= want:
+            want = yield
+        key = (w, eid)
+        done.append(FanEntry(samples[u][0], u, 0, v, key, 0, key))
+
+
+def _scan(v, q_v, inc_v, samples, done, bound):
     """The scan in inc_v order behind build_fan's Fan, a generator primed
     by one next(): each send(n) runs it until done holds n final entries,
     or to its end. It holds done, never the Fan, so no cycle forms."""
@@ -320,6 +378,7 @@ def _scan(v, q_v, inc_v, samples, done):
     lo = 0  # inc_v[lo] is the lightest neighbor outside used
     # neighbor -> key over inc_v[:j+1], from the first multi-vertex candidate
     edge_of = open_heads = None
+    wit = 0  # with a bound: no neighbor in inc_v[j+1:wit] offers a head outside used
     for j, (w, eid, u) in enumerate(inc_v):
         if edge_of is not None:
             edge_of[u] = (w, eid)
@@ -328,9 +387,18 @@ def _scan(v, q_v, inc_v, samples, done):
                 break
         else:  # u's samples all meet the fan
             if open_heads is None:
-                open_heads = _offered_heads(samples, inc_v) - used
+                open_heads = _offered_heads(samples, inc_v) if bound is None else set(bound)
+                open_heads -= used
             if not open_heads:
                 break
+            if bound is not None:
+                # the witness probe: is there a later neighbor that offers
+                # a head outside used
+                wit = max(wit, j + 1)
+                while wit < len(inc_v) and samples[inc_v[wit][2]].heads <= used:
+                    wit += 1
+                if wit == len(inc_v):
+                    break
             continue
         used |= p.vset
         if len(p.vertices) == 1:  # base is u alone; its edge is the only hit
@@ -456,7 +524,9 @@ def run_phases(g: Graph, f: int, k: int, *, sample_fn, centers_fn,
     (fans provided for deterministic selection); pi_rng_fn(i, v), if
     given, supplies the stream from which mod ranks v's fan candidates,
     from phase 2 on: a phase-1 candidate is one neighbor's one-vertex
-    path, so they are pairwise disjoint and never ranked.
+    path, so they are pairwise disjoint and never ranked, and phase-1
+    fans are built without a scan. From phase 2 on, every fan gets the
+    phase's offered heads as its saturation bound.
 
     transport carries each message step; LocalExchange when None.
       paths(samples, inc) -> v -> {neighbor: its sample list}
@@ -500,10 +570,14 @@ def run_phases(g: Graph, f: int, k: int, *, sample_fn, centers_fn,
         active = sorted(clustered)
         samples = {u: Offer(sample_fn(i, u, q[u])) for u in active}
         seen = transport.paths(samples, inc)
+        # every head offered in the phase, a superset of each fan's
+        # offered heads; phase 1 needs none, as its fans do not scan
+        bound = frozenset().union(*map(attrgetter("heads"), samples.values())) if i > 1 else None
         fans = {}
         for v in active:
             pi_rng = pi_rng_fn(i, v) if pi_rng_fn is not None and i > 1 else None
-            fans[v] = build_fan(v, q[v], inc[v], seen(v), pi_rng)
+            fans[v] = build_fan(v, q[v], inc[v], seen(v), pi_rng, bound=bound,
+                                first_phase=i == 1)
         centers_next = centers_fn(i, centers, fans) if i < k else frozenset()
         head_test = transport.heads(centers_next, samples, inc)
 

@@ -256,18 +256,19 @@ def test_fan_entry_builds_paths_on_first_access():
 # --- the stopping fan against the eager fan, on real build inputs -----------
 
 def _capture_fans(monkeypatch, build):
-    """(phase, v, q_v, inc_v, samples, pi_state) of every build_fan call
-    of build(); pi_state is the permutation stream's state before the
-    call, None when no stream was given and the fan is not ranked."""
+    """(phase, v, q_v, inc_v, samples, pi_state, kwargs) of every
+    build_fan call of build(); pi_state is the permutation stream's state
+    before the call, None when no stream was given and the fan is not
+    ranked, and kwargs the saturation bound and phase-1 flag it got."""
     real = meta.build_fan
     calls, phase_of = [], {}
 
-    def capture(v, q_v, inc_v, samples, pi_rng=None):
+    def capture(v, q_v, inc_v, samples, pi_rng=None, **kwargs):
         # run_phases builds each clustered vertex's fan once per phase
         i = phase_of[v] = phase_of.get(v, 0) + 1
         state = pi_rng.getstate() if pi_rng is not None else None
-        calls.append((i, v, q_v, inc_v, samples, state))
-        return real(v, q_v, inc_v, samples, pi_rng)
+        calls.append((i, v, q_v, inc_v, samples, state, kwargs))
+        return real(v, q_v, inc_v, samples, pi_rng, **kwargs)
 
     monkeypatch.setattr(meta, "build_fan", capture)
     build()
@@ -285,9 +286,10 @@ def _pi_of(call):
 
 
 def _fan_of(call, samples=None):
-    _, v, q_v, inc_v, offered, _ = call
+    """call's fan, replayed with the bound and phase-1 flag it was built with."""
+    _, v, q_v, inc_v, offered, _, kwargs = call
     return build_fan(v, q_v, inc_v, offered if samples is None else samples,
-                     _pi_of(call))
+                     _pi_of(call), **kwargs)
 
 
 def _watched_fan(call, read):
@@ -299,6 +301,10 @@ def _watched_fan(call, read):
         def __iter__(self):
             scanned.append(self.owner)
             return super().__iter__()
+
+        def __getitem__(self, idx):  # the phase-1 fan reads samples[u][0]
+            scanned.append(self.owner)
+            return super().__getitem__(idx)
 
     watched = {}
     for _, _, u in call[3]:
@@ -324,7 +330,7 @@ STOPPING_FAN_BUILDS = {
 def _check_stopping_fan(call, heads):
     """call's fan, read in full, by prefix, by choose_cluster at K_f = 1-3
     and by le_edge_ids at every i_v, against the eager fan step."""
-    _, v, q_v, inc_v, samples, state = call
+    _, v, q_v, inc_v, samples, state, _ = call
     want = _eager_build_fan(v, q_v, inc_v, samples, "seq" if state is None else "mod",
                             _pi_of(call))
     ident = lambda e: (e.src, e.sample_idx, e.head, e.last_key)
@@ -357,10 +363,11 @@ def _check_stopping_fan(call, heads):
 
 
 def test_stopping_fan_matches_eager_fan_on_real_builds(monkeypatch):
-    """Every fan of four real builds equals the eager fan step's however
-    it is read. Floors: the saturation rule ends at least half of the
-    unranked phase-2 scans, and the prefix rule leaves phase-1 scans
-    unfinished after choose_cluster's and le_edge_ids's reads."""
+    """Every fan of four real builds, replayed with the saturation bound
+    and phase-1 flag the build gave it, equals the eager fan step's
+    however it is read. Floors: the saturation rule ends at least half of
+    the unranked phase-2 scans, and phase-1 fans stay unfinished after
+    choose_cluster's and le_edge_ids's reads."""
     unfinished = 0
     unranked_p2 = []
     drew = []  # per mod-parallel fan: was it ranked
@@ -371,10 +378,10 @@ def test_stopping_fan_matches_eager_fan_on_real_builds(monkeypatch):
         heads = frozenset(x for x in range(n) if substream(n, "heads", x).random() < 0.3)
         for call in calls:
             _check_stopping_fan(call, heads)
-            i, v, q_v, inc_v, samples, state = call
+            i, v, q_v, inc_v, samples, state, kwargs = call
             if state is not None:
                 pi_rng = _pi_of(call)
-                build_fan(v, q_v, inc_v, samples, pi_rng)
+                build_fan(v, q_v, inc_v, samples, pi_rng, **kwargs)
                 drew.append(pi_rng.getstate() != state)
                 continue
             offered = {u for _, _, u in inc_v if samples[u]}
@@ -390,9 +397,46 @@ def test_stopping_fan_matches_eager_fan_on_real_builds(monkeypatch):
                 unranked_p2.append(stopped and all(
                     p.head in covered for u in offered for p in samples[u]))
     assert any(drew) and not all(drew), "need ranked and pairwise-disjoint fans"
-    assert unfinished >= 1, "the prefix rule left no phase-1 scan unfinished"
+    assert unfinished >= 1, "no phase-1 fan was left unfinished"
     assert sum(unranked_p2) * 2 >= len(unranked_p2) > 0, \
         f"saturation ended {sum(unranked_p2)} of {len(unranked_p2)} phase-2 scans"
+
+
+def test_witness_probe_stops_fans_offered_fewer_heads_than_the_bound(monkeypatch):
+    """On a gnp graph a fan is offered only its neighbors' heads, often
+    fewer than the phase's bound, which then never falls inside the fan;
+    the witness probe over later neighbors stops those scans. Each such
+    fan equals the fan built without a bound, read in full and by prefix,
+    and at least 20 stop before the end of inc_v, neither by the bound
+    nor because every neighbor is in the fan."""
+    g = generate("gnp", n=100, p=0.4, seed=1, weights=(1, 1000))
+    built = []
+    calls = _capture_fans(monkeypatch, lambda: built.append(build_ft_spanner(g, 1, 3, seed=1, c_k=1)))
+    res = built[0]
+    assert res.trace[1].clustered > 0 and res.edge_count < g.m
+    ident = lambda e: (e.src, e.sample_idx, e.head, e.last_key, _full(e.path), _full(e.orig))
+    loose = stopped = 0
+    for call in calls:
+        _, v, q_v, inc_v, samples, _, kwargs = call
+        bound = kwargs["bound"]
+        if bound is None or len(_offered_heads_of(call)) >= len(bound):
+            continue
+        loose += 1
+        want = [ident(e) for e in build_fan(v, q_v, inc_v, samples, bound=None)]
+        fan = _fan_of(call)
+        for j in range(len(want) + 1):
+            assert [ident(e) for e in fan[:j]] == want[:j]
+        assert [ident(e) for e in _fan_of(call)] == want
+        used = set().union(*(e.base.vset for e in fan))
+        offered = {u for _, _, u in inc_v if samples[u]}
+        stopped += (_watched_fan(call, len) < offered and not bound <= used
+                    and not all(u in used for _, _, u in inc_v))
+    assert loose >= 40 and stopped >= 20, (loose, stopped)
+
+
+def _offered_heads_of(call):
+    _, _, _, inc_v, samples, _, _ = call
+    return set().union(*(samples[u].heads for _, _, u in inc_v))
 
 
 def test_seq_and_scan_order_mod_build_the_same_spanner():
@@ -522,6 +566,30 @@ def test_sample_paths_dedup_and_determinism():
     assert len({p.vertices for p in a}) == len(a)
     assert set(a) <= set(paths)
     assert sample_fan_paths((paths[0],), substream(2, "s"), 5) == [paths[0]]
+
+
+def test_inline_draw_is_randrange():
+    """sample_fan_paths and the ranked fan draw each uniform position
+    inline, as getrandbits(n.bit_length()) redrawn while not below n:
+    Random.randrange(n) value for value and word for word, for every n in
+    1..4096, on several streams."""
+    paths = tuple(Path.trivial(x) for x in range(4096))
+    # owner 0 inherits (1, 0); neighbor 2 offers 4096 paths through 1 with
+    # distinct heads, so none joins, the fan never saturates, and the
+    # ranked draw runs the pool down from 4096 to 1
+    q_v = (path_of(1, 0),)
+    samples = {2: Offer(path_of(h, 1, 2) for h in range(3, 4099))}
+    for seed in range(4):
+        rng, replay = substream(seed, "draw"), substream(seed, "draw")
+        for n in range(1, 4097):
+            want = [paths[replay.randrange(n) if n > 1 else 0]]
+            assert sample_fan_paths(paths[:n], rng, 1) == want
+        assert rng.getstate() == replay.getstate()
+        fan = build_fan(0, q_v, [(5, 7, 2)], samples, rng)
+        assert [e.src for e in fan] == [None]
+        for n in range(4096, 0, -1):
+            replay.randrange(n)
+        assert rng.getstate() == replay.getstate()
 
 
 # --- whole builds -----------------------------------------------------------
@@ -888,8 +956,8 @@ def test_round_mis_takes_the_fans_of_a_real_build(monkeypatch):
     phase_of = {}
     rounds = []
 
-    def checked(v, q_v, inc_v, samples, pi_rng):
-        out = real(v, q_v, inc_v, samples, pi_rng)
+    def checked(v, q_v, inc_v, samples, pi_rng, **kwargs):
+        out = real(v, q_v, inc_v, samples, pi_rng, **kwargs)
         # run_phases builds each clustered vertex's fan once per phase
         i = phase_of[v] = phase_of.get(v, 0) + 1
         used = set().union(*(p.vset for p in q_v))
