@@ -41,16 +41,18 @@ rules. Both rest on two facts: a later acceptance must be disjoint from
   that can still be offered lies outside `used`, no later candidate is
   disjoint, in any scan order, and the scan stops; any superset of the
   offered heads keeps this sound. run_phases computes one such bound
-  per phase, the heads of all its sample lists, and a scan stops once
-  the bound is inside `used`. Until then a witness probe decides: only
-  neighbors later in inc_v can still offer candidates, so the scan stops
-  once none of them offers a head outside `used`. As `used` only grows,
-  a neighbor without such a head never regains one, and the probe's
-  pointer to the next possible witness only moves forward. Over a scan
-  the probe tests each neighbor it passes once, plus the witness once
-  per probe, so it costs O(sum of the passed head sets + probes), where
-  a scan without a bound unions every neighbor's head set at its first
-  blocked neighbor.
+  per phase, the heads of all its sample lists (a fan built without
+  one takes its own offered heads), and a scan stops once the bound is
+  inside `used`. Until then a witness probe decides: only neighbors
+  later in inc_v can still offer candidates, so the scan stops once
+  none of them offers a head outside `used`. As `used` only grows, a
+  neighbor without such a head never regains one, and the probe's
+  pointer to the next possible witness only moves forward. Cost per
+  scan: the heads of the bound outside `used` are counted, not copied,
+  once at the first blocked neighbor (O(min(|bound|, |used|))) and
+  then by each acceptance's own vertices, O(|fan|) in all; the probe
+  tests each neighbor it passes once, plus the witness once per probe,
+  O(sum of the passed head sets + probes).
 
 In phase 1 every cluster path is its vertex's trivial path, so every
 candidate is a distinct neighbor's one-vertex path, whose last key is
@@ -66,13 +68,13 @@ samples; restricted to the candidates disjoint from the inherited
 paths, that is a uniform permutation of them. A candidate met after
 saturation is never accepted, so the prefix takes the same lex-first
 MIS as the whole permutation would, and the draw stops there (or when
-nothing is left to draw). With the phase's bound it stops when the
-bound is inside `used`; the draws it makes past the fan's own
-saturation come from the vertex's private stream and are never
-accepted. Fans whose candidates are pairwise disjoint are not ranked
-and draw nothing. Each uniform position is drawn as randrange draws it
-(CPython's _randbelow_with_getrandbits: getrandbits of n's bit length,
-redrawn while not below n), inline, so every stream stays put.
+nothing is left to draw). It stops when the bound is inside `used`;
+the draws it makes past the fan's own saturation come from the
+vertex's private stream and are never accepted. Fans whose candidates
+are pairwise disjoint are not ranked and draw nothing. Each uniform
+position is drawn as randrange draws it (CPython's
+_randbelow_with_getrandbits: getrandbits of n's bit length, redrawn
+while not below n), inline, so every stream stays put.
 """
 
 from __future__ import annotations
@@ -273,9 +275,9 @@ def build_fan(v: int, q_v, inc_v, samples, pi_rng=None, *, bound=None,
     inc_v: remaining incident edges as (w, eid, u), ascending by (w, eid).
     samples: neighbor -> stored sample list (only entries for inc_v
     neighbors are read).
-    bound: a superset of the heads offered to v, or None. The scan stops
-    once it is inside the fan, else once no later neighbor offers a head
-    outside it; without a bound, once every offered head is in the fan.
+    bound: a superset of the heads offered to v; None takes exactly
+    those heads. The scan stops once it is inside the fan, else once no
+    later neighbor offers a head outside it.
     first_phase: the phase-1 fan, which is built without a scan: q_v is
     v's trivial path and each neighbor offers its own trivial path.
 
@@ -298,14 +300,15 @@ def build_fan(v: int, q_v, inc_v, samples, pi_rng=None, *, bound=None,
     if first_phase:
         scan = _neighbor_fan(v, q_v, inc_v, samples, done)
     else:
+        if bound is None:
+            bound = _offered_heads(samples, inc_v)
         if pi_rng is not None:
             pool = list(chain.from_iterable(map(samples.__getitem__, map(itemgetter(2), inc_v))))
-            heads = _offered_heads(samples, inc_v) if bound is None else bound
             # two paths with one head overlap, so fewer heads than paths
             # (the bound's count suffices) settles it cheaply; only
             # otherwise are the vsets compared
-            if len(heads) < len(pool) or _overlap(pool):
-                return Fan(_drawn_fan(v, q_v, inc_v, samples, pool, heads, pi_rng), None)
+            if len(bound) < len(pool) or _overlap(pool):
+                return Fan(_drawn_fan(v, q_v, inc_v, samples, pool, bound, pi_rng), None)
         scan = _scan(v, q_v, inc_v, samples, done, bound)
     next(scan)
     return Fan(done, scan)
@@ -322,18 +325,17 @@ def _overlap(paths) -> bool:
     return sum(map(len, vsets)) != len(frozenset().union(*vsets))
 
 
-def _drawn_fan(v, q_v, inc_v, samples, pool, heads, pi_rng) -> list:
+def _drawn_fan(v, q_v, inc_v, samples, pool, bound, pi_rng) -> list:
     """The ranked fan of build_fan: the pool's candidates in a uniform
     random order, drawn one at a time by swap-popping a uniform position
     of what is left, each accepted when disjoint from the fan so far,
-    until every one of heads is in the fan or the pool ends."""
+    until every head of bound is in the fan or the pool ends."""
     used = set().union(*(p.vset for p in q_v))
-    open_heads = set(heads)
-    open_heads -= used
+    left = len(bound) - len(bound & used)  # heads of bound outside the fan
     edge_of = {u: (w, eid) for w, eid, u in inc_v}
     entries = [FanEntry(p) for p in q_v]
     getrandbits = pi_rng.getrandbits
-    while open_heads and pool:
+    while left and pool:
         n = len(pool)
         bits = n.bit_length()
         j = getrandbits(bits)  # pi_rng.randrange(n)
@@ -347,7 +349,8 @@ def _drawn_fan(v, q_v, inc_v, samples, pool, heads, pi_rng) -> list:
             u = p.vertices[-1]
             cut, best = _lightest(p.vertices, edge_of)
             entries.append(FanEntry(p, u, samples[u].index(p), v, edge_of[u], cut, best))
-            open_heads -= p.vset
+            # p is disjoint from the earlier fan, so no head is counted twice
+            left -= len(bound.intersection(p.vset))
     entries.sort(key=attrgetter("last_key"))
     return entries
 
@@ -377,8 +380,10 @@ def _scan(v, q_v, inc_v, samples, done, bound):
     tick = count(len(heap))
     lo = 0  # inc_v[lo] is the lightest neighbor outside used
     # neighbor -> key over inc_v[:j+1], from the first multi-vertex candidate
-    edge_of = open_heads = None
-    wit = 0  # with a bound: no neighbor in inc_v[j+1:wit] offers a head outside used
+    edge_of = None
+    # heads of bound outside used, counted from the first blocked neighbor
+    left = None
+    wit = 0  # no neighbor in inc_v[j+1:wit] offers a head outside used
     for j, (w, eid, u) in enumerate(inc_v):
         if edge_of is not None:
             edge_of[u] = (w, eid)
@@ -386,19 +391,17 @@ def _scan(v, q_v, inc_v, samples, done, bound):
             if p.vset.isdisjoint(used):
                 break
         else:  # u's samples all meet the fan
-            if open_heads is None:
-                open_heads = _offered_heads(samples, inc_v) if bound is None else set(bound)
-                open_heads -= used
-            if not open_heads:
+            if left is None:
+                left = len(bound) - len(bound & used)
+            if not left:
                 break
-            if bound is not None:
-                # the witness probe: is there a later neighbor that offers
-                # a head outside used
-                wit = max(wit, j + 1)
-                while wit < len(inc_v) and samples[inc_v[wit][2]].heads <= used:
-                    wit += 1
-                if wit == len(inc_v):
-                    break
+            # the witness probe: is there a later neighbor that offers a
+            # head outside used
+            wit = max(wit, j + 1)
+            while wit < len(inc_v) and samples[inc_v[wit][2]].heads <= used:
+                wit += 1
+            if wit == len(inc_v):
+                break
             continue
         used |= p.vset
         if len(p.vertices) == 1:  # base is u alone; its edge is the only hit
@@ -408,9 +411,9 @@ def _scan(v, q_v, inc_v, samples, done, bound):
                 edge_of = {x: (xw, xe) for xw, xe, x in inc_v[: j + 1]}
             cut, best = _lightest(p.vertices, edge_of)
         heappush(heap, (best, next(tick), FanEntry(p, u, si, v, (w, eid), cut, best)))
-        if open_heads is not None:
-            open_heads -= p.vset
-            if not open_heads:
+        if left is not None:
+            left -= len(bound.intersection(p.vset))  # p is disjoint from used
+            if not left:
                 break
         while lo < len(inc_v) and inc_v[lo][2] in used:
             lo += 1

@@ -285,16 +285,18 @@ def _pi_of(call):
     return pi_rng
 
 
-def _fan_of(call, samples=None):
-    """call's fan, replayed with the bound and phase-1 flag it was built with."""
+def _fan_of(call, samples=None, **override):
+    """call's fan, replayed with the bound and phase-1 flag it was built
+    with, unless override replaces them."""
     _, v, q_v, inc_v, offered, _, kwargs = call
     return build_fan(v, q_v, inc_v, offered if samples is None else samples,
-                     _pi_of(call), **kwargs)
+                     _pi_of(call), **{**kwargs, **override})
 
 
-def _watched_fan(call, read):
-    """Build call's fan over sample lists that log their scans, run read
-    on it, and return the neighbors whose lists the scan read."""
+def _watched_fan(call, read, **override):
+    """Build call's fan (with override's arguments) over sample lists that
+    log their scans, run read on it, and return the neighbors whose lists
+    the scan read."""
     scanned = []
 
     class Watched(meta.Offer):
@@ -312,7 +314,7 @@ def _watched_fan(call, read):
         w.owner = u
         w.heads  # computed before the watch starts, as its sender would
     scanned.clear()
-    read(_fan_of(call, watched))
+    read(_fan_of(call, watched, **override))
     return set(scanned)
 
 
@@ -367,10 +369,13 @@ def test_stopping_fan_matches_eager_fan_on_real_builds(monkeypatch):
     and phase-1 flag the build gave it, equals the eager fan step's
     however it is read. Floors: the saturation rule ends at least half of
     the unranked phase-2 scans, and phase-1 fans stay unfinished after
-    choose_cluster's and le_edge_ids's reads."""
-    unfinished = 0
+    choose_cluster's and le_edge_ids's reads, both as built and when
+    replayed as scans (without the phase-1 flag), where the prefix rule
+    is what leaves them unfinished."""
+    unfinished = unfinished_scans = 0
     unranked_p2 = []
     drew = []  # per mod-parallel fan: was it ranked
+    ident = lambda e: (e.src, e.sample_idx, e.head, e.last_key, _full(e.path), _full(e.orig))
     for name, (n, build) in STOPPING_FAN_BUILDS.items():
         g = generate("complete", n=n, seed=1, weights=(1, 1000))
         calls = _capture_fans(monkeypatch, lambda: build(g))
@@ -390,6 +395,9 @@ def test_stopping_fan_matches_eager_fan_on_real_builds(monkeypatch):
                     _, _, i_v = choose_cluster(fan, lambda e: e.head in heads, 3)
                     le_edge_ids(fan, i_v, inc_v)
                 unfinished += _watched_fan(call, read) < offered
+                assert [ident(e) for e in _fan_of(call, first_phase=False)] \
+                    == [ident(e) for e in _fan_of(call)]
+                unfinished_scans += _watched_fan(call, read, first_phase=False) < offered
             elif i == 2:
                 fan = _fan_of(call)
                 covered = set().union(*(e.base.vset for e in fan))
@@ -398,6 +406,7 @@ def test_stopping_fan_matches_eager_fan_on_real_builds(monkeypatch):
                     p.head in covered for u in offered for p in samples[u]))
     assert any(drew) and not all(drew), "need ranked and pairwise-disjoint fans"
     assert unfinished >= 1, "no phase-1 fan was left unfinished"
+    assert unfinished_scans >= 1, "no phase-1 scan was left unfinished"
     assert sum(unranked_p2) * 2 >= len(unranked_p2) > 0, \
         f"saturation ended {sum(unranked_p2)} of {len(unranked_p2)} phase-2 scans"
 
@@ -406,15 +415,15 @@ def test_witness_probe_stops_fans_offered_fewer_heads_than_the_bound(monkeypatch
     """On a gnp graph a fan is offered only its neighbors' heads, often
     fewer than the phase's bound, which then never falls inside the fan;
     the witness probe over later neighbors stops those scans. Each such
-    fan equals the fan built without a bound, read in full and by prefix,
-    and at least 20 stop before the end of inc_v, neither by the bound
-    nor because every neighbor is in the fan."""
+    fan equals the eager fan step's however it is read, and at least 20
+    stop before the end of inc_v, neither by the bound nor because every
+    neighbor is in the fan."""
     g = generate("gnp", n=100, p=0.4, seed=1, weights=(1, 1000))
     built = []
     calls = _capture_fans(monkeypatch, lambda: built.append(build_ft_spanner(g, 1, 3, seed=1, c_k=1)))
     res = built[0]
     assert res.trace[1].clustered > 0 and res.edge_count < g.m
-    ident = lambda e: (e.src, e.sample_idx, e.head, e.last_key, _full(e.path), _full(e.orig))
+    heads = frozenset(x for x in range(g.n) if substream(g.n, "heads", x).random() < 0.3)
     loose = stopped = 0
     for call in calls:
         _, v, q_v, inc_v, samples, _, kwargs = call
@@ -422,12 +431,8 @@ def test_witness_probe_stops_fans_offered_fewer_heads_than_the_bound(monkeypatch
         if bound is None or len(_offered_heads_of(call)) >= len(bound):
             continue
         loose += 1
-        want = [ident(e) for e in build_fan(v, q_v, inc_v, samples, bound=None)]
-        fan = _fan_of(call)
-        for j in range(len(want) + 1):
-            assert [ident(e) for e in fan[:j]] == want[:j]
-        assert [ident(e) for e in _fan_of(call)] == want
-        used = set().union(*(e.base.vset for e in fan))
+        _check_stopping_fan(call, heads)
+        used = set().union(*(e.base.vset for e in _fan_of(call)))
         offered = {u for _, _, u in inc_v if samples[u]}
         stopped += (_watched_fan(call, len) < offered and not bound <= used
                     and not all(u in used for _, _, u in inc_v))
@@ -908,6 +913,33 @@ def test_drawn_fan_stops_when_the_pool_runs_out():
         build_fan(0, *inst, pi_rng)
         for n in (3, 2, 1):
             replay.randrange(n)
+        assert pi_rng.getstate() == replay.getstate()
+
+
+def test_fans_stop_once_the_bound_is_inside_them():
+    """The scan counts the bound's heads outside the fan from its first
+    blocked neighbor on and stops at the acceptance that covers the last
+    one, before reading the next neighbor's list; the ranked draw stops at
+    the acceptance that covers the bound, with the pool not yet empty."""
+    # owner 0 inherits (6, 0): neighbor 1 offers only a path through 6, so
+    # it is blocked with head 7 open; neighbor 2's path covers 7
+    q_v = (path_of(6, 0),)
+    inc_v = [(1, 11, 1), (2, 12, 2), (3, 13, 3)]
+    samples = {1: Offer([path_of(6, 1)]), 2: Offer([path_of(7, 2)]),
+               3: Offer([path_of(7, 3)])}
+    call = (2, 0, q_v, inc_v, samples, None, {})
+    _check_stopping_fan(call, frozenset({6, 7}))
+    assert _watched_fan(call, len) == {1, 2}
+    # every neighbor offers head 5: the first draw takes one and saturates
+    q_v = (Path.trivial(0),)
+    samples = {u: Offer([path_of(5, u)]) for _, _, u in inc_v}
+    for seed in range(10):
+        pi_rng, replay = substream(seed, "pi"), substream(seed, "pi")
+        got = build_fan(0, q_v, inc_v, samples, pi_rng)
+        want = _eager_build_fan(0, q_v, inc_v, samples, "mod", substream(seed, "pi"))
+        assert [(e.src, e.sample_idx) for e in got] == [(src, si) for _, _, src, si in want]
+        assert len(got) == 2
+        replay.randrange(3)
         assert pi_rng.getstate() == replay.getstate()
 
 
