@@ -7,34 +7,43 @@ id ceil(log2 m) bits. Longer payloads are pipelined as B-bit chunks.
 
 The simulation is meta.run_phases with a Network as its transport. Each
 of the driver's message steps is a Network method, and each answer it
-gives a vertex is read from that vertex's own state and inbox: (a)
-`paths`: each clustered vertex pipelines its sampled cluster paths to its
-remaining-edge neighbors; (b) the fan computation is local: each vertex
-builds its fan from the sample lists in its own inbox. The saturation
-bound run_phases hands every fan (the heads offered anywhere in the
-phase) is not a message: it only ends a vertex's own scan early and
-never changes the fan, so no message depends on it; (c) `heads`
-announces the surviving centers down the previous clustering's trees
-and then (d) sends each neighbor a bitmask telling which of the
-transmitted samples head a surviving cluster; (e) `edge_state` follows
-the local cluster/purchase decisions with one exchange that settles the
-deferred-edge set: each vertex learns from its inbox which of its edges
-are held (bought by either endpoint, at or below the neighbor's
-threshold, or to a neighbor that did not cluster) and defers the others
-above its own threshold; (f) `register` lets owners register the new cluster
-trees edge by edge so the next phase can broadcast on them. Every random
-draw comes from the per-(vertex, phase) streams the sequential build
-uses, so the simulated output matches it edge for edge.
+gives a vertex is read from that vertex's own state and the messages its
+remaining-edge neighbors sent it: (a) `paths`: each clustered vertex
+pipelines its sampled cluster paths to its remaining-edge neighbors; (b)
+the fan computation is local: each vertex builds its fan from the sample
+lists its neighbors sent. The saturation bound run_phases hands every
+fan (the heads offered anywhere in the phase) is not a message: it only
+ends a vertex's own scan early and never changes the fan, so no message
+depends on it; (c) `heads` announces the surviving centers down the
+previous clustering's trees and then (d) sends each neighbor a bitmask
+telling which of the transmitted samples head a surviving cluster; (e)
+`edge_state` follows the local cluster/purchase decisions with one
+exchange that settles the deferred-edge set: each vertex tells its
+neighbors whether it clustered, its threshold key and which of its edges
+it bought, and learns which of its own edges above its threshold are
+held (bought by either endpoint, at or below the neighbor's threshold,
+or to a neighbor that did not cluster) and defers the others; (f)
+`register` lets owners register the new cluster trees edge by edge so
+the next phase can broadcast on them. Every random draw comes from the
+per-(vertex, phase) streams the sequential build uses, so the simulated
+output matches it edge for edge.
 
 Each message wave is one Network.transmit with one tag and one send per
 sender: the sender, its receivers, the bit count of the message it sends
-every one of them, and a payload per receiver. transmit is the only code
-that cuts a message into B-bit chunks, one per round. The same chunks go
-down each of the sender's edges, so messages, bits and rounds (the
-wave's longest message) are counted by multiplying by the receiver
-count, also per tag, instead of walking every directed edge every round.
-The per-message log is built only when record_messages is set, in round
-order and then send order.
+every one of them, and what the receivers get. A send hands its
+receivers either one payload each (register, tree_broadcast) or one
+payload that all of them hear (paths, heads, edge-state: the local
+broadcasts of the CONGEST model, one message to every neighbor). A
+broadcast wave is delivered as one src -> payload map, one store per
+send, and each vertex reads the entries of its remaining-edge neighbors
+through Network.heard, as the fan scan, is_head and peer walk its own
+edge list. transmit is the only code that cuts a message into B-bit
+chunks, one per round. The same chunks go down each of the sender's
+edges, so messages, bits and rounds (the wave's longest message) are
+counted by multiplying by the receiver count, also per tag, instead of
+walking every directed edge every round. The per-message log is built
+only when record_messages is set, in round order and then send order;
+without it a broadcast send carries only its receiver count.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ from itertools import repeat
 from operator import itemgetter
 
 from ftspanner.graphs import Graph
-from ftspanner.meta import C_S, check_params, random_steps, run_phases
+from ftspanner.meta import C_S, _above, check_params, random_steps, run_phases
 from ftspanner.result import SpannerResult, meta_size_bound
 # Unused here; the traced benchmark (perfbench/layers.py) patches these
 # names on this module, so they stay importable from it.
@@ -112,26 +121,31 @@ class Network:
         self.log: list | None = [] if record_messages else None
         self.phase_starts: list[int] = []
         self.children: dict = {}  # (root, vertex) -> vertex's children in root's tree
-        self.receivers: dict = {}  # vertex -> its remaining-edge neighbors this phase
+        # vertex -> its remaining-edge neighbors this phase, for the message log
+        self.receivers: dict = {}
 
-    def transmit(self, tag: str, sends) -> tuple[dict, int]:
+    def transmit(self, tag: str, sends, broadcast: bool = False) -> tuple[dict, int]:
         """Deliver one wave of `tag` messages.
 
-        sends: (src, receivers, bits, payloads) per send. src sends the
+        sends: (src, receivers, bits, payload) per send. src sends the
         same bits-bit message to each of its receivers as B-bit chunks,
-        one per round from the next round on, the remainder last;
-        payloads yields one payload per receiver, in receiver order, that
-        rides the final chunk. Traffic is accounted per send, by
+        one per round from the next round on, the remainder last. The
+        payload rides the final chunk. Traffic is accounted per send, by
         multiplying by the receiver count; the message log, when
         recorded, lists each chunk in round order and then in send order.
-        Returns (inbox dst -> {src: payload}, rounds used).
+
+        Without broadcast, payload yields one payload per receiver, in
+        receiver order, and the inbox is dst -> {src: payload}. With
+        broadcast, every receiver hears the one payload, the inbox is
+        src -> payload, and receivers may be their count when no log is
+        recorded. Returns (inbox, rounds used).
         """
-        inbox: dict = defaultdict(dict)
+        inbox: dict = {} if broadcast else defaultdict(dict)
         B = self.B
         depth = widest = messages = bits_total = 0
         log = [] if self.log is not None else None
-        for src, receivers, bits, payloads in sends:
-            fan = len(receivers)
+        for src, receivers, bits, payload in sends:
+            fan = receivers if type(receivers) is int else len(receivers)
             if not fan:
                 continue
             bits = max(1, bits)
@@ -140,8 +154,11 @@ class Network:
             widest = max(widest, bits)
             messages += rounds * fan
             bits_total += bits * fan
-            for dst, payload in zip(receivers, payloads):
-                inbox[dst][src] = payload
+            if broadcast:
+                inbox[src] = payload
+            else:
+                for dst, p in zip(receivers, payload):
+                    inbox[dst][src] = p
             if log is not None:
                 edges = list(zip(repeat(src), receivers))
                 last = bits - (rounds - 1) * B
@@ -161,16 +178,27 @@ class Network:
         self.round += depth
         return inbox, depth
 
+    def heard(self, v, wave):
+        """What v hears of a broadcast wave: the shared src -> payload map.
+        v reads only the entries of its remaining-edge neighbors, through
+        its own edge list; tests swap in a view that enforces this."""
+        return wave
+
+    def _to(self, v, inc):
+        """v's receivers in a broadcast wave: its remaining-edge neighbors
+        when the message log names them, else only their count."""
+        return self.receivers[v] if self.log is not None else len(inc[v])
+
     def paths(self, samples, inc):
         """(a) Pipeline each vertex's sample list to its remaining-edge
-        neighbors. Returns v -> {neighbor: the sample list v received}."""
+        neighbors. Returns v -> what v heard: neighbor -> its sample list."""
         self.phase_starts.append(self.round)
-        # the phase's receiver lists, read again by heads and edge_state
-        self.receivers = {v: list(map(itemgetter(2), inc[v])) for v in samples}
+        if self.log is not None:  # read again by heads and edge_state
+            self.receivers = {v: list(map(itemgetter(2), inc[v])) for v in samples}
         inbox, _ = self.transmit("paths", (
-            (v, self.receivers[v], _path_stream_bits(self, s), repeat(s))
-            for v, s in samples.items()))
-        return lambda v: inbox[v]
+            (v, self._to(v, inc), _path_stream_bits(self, s), s)
+            for v, s in samples.items()), broadcast=True)
+        return lambda v: self.heard(v, inbox)
 
     def heads(self, centers, samples, inc):
         """(c) Announce the surviving centers down the registered trees,
@@ -183,12 +211,12 @@ class Network:
         for u, s in samples.items():
             got = received.get(u, ())
             flags = tuple(p.head in got for p in s)
-            sends.append((u, self.receivers[u], len(flags) + 2, repeat(flags)))
-        inbox, _ = self.transmit("heads", sends)
+            sends.append((u, self._to(u, inc), len(flags) + 2, flags))
+        inbox, _ = self.transmit("heads", sends, broadcast=True)
 
         def head_test(v):
             got = received.get(v, ())
-            box = inbox[v]
+            box = self.heard(v, inbox)
 
             def is_head(entry):
                 if entry.src is None:
@@ -199,26 +227,30 @@ class Network:
 
     def edge_state(self, inc, thr, le, bought):
         """(e) Tell every remaining-edge neighbor whether v clustered, its
-        threshold key if so, and whether v bought the edge. Returns
+        threshold key if so, and which of v's edges v bought. Returns
         v -> the ids of v's edges that v must not defer, read from v's
-        purchases and inbox: bought by either endpoint, at or below the
-        neighbor's threshold key, or to a neighbor that did not cluster."""
+        purchases and its neighbors' messages: bought by either endpoint,
+        at or below the neighbor's threshold key, or to a neighbor that
+        did not cluster. Only v's edges above thr[v] are read, as
+        run_phases asks no more.
+
+        v's message carries its purchase set, and a receiver u tests only
+        the id of its own edge to v against it: that is the one bought
+        bit per edge that the message's bit count charges."""
         key_bits = self.weight_bits + self.edge_id_bits
         le = {v: set(ids) for v, ids in le.items()}
         sends = []
         for v, le_v in le.items():
             ok = v in thr
-            # only the bought flag depends on the receiver's edge
-            state = ((ok, thr.get(v), False), (ok, thr.get(v), True))
-            sends.append((v, self.receivers[v], 2 + (key_bits if ok else 0) + 2,
-                          [state[eid in le_v] for w, eid, u in inc[v]]))
-        inbox, _ = self.transmit("edge-state", sends)
+            sends.append((v, self._to(v, inc), 2 + (key_bits if ok else 0) + 2,
+                          (ok, thr.get(v), le_v)))
+        inbox, _ = self.transmit("edge-state", sends, broadcast=True)
 
         def peer(v):
-            held, box = set(le[v]), inbox[v]
-            for w, eid, u in inc[v]:
+            held, box, inc_v = set(le[v]), self.heard(v, inbox), inc[v]
+            for w, eid, u in inc_v[_above(inc_v, thr[v]):]:
                 ok_u, thr_u, le_u = box[u]
-                if le_u or not ok_u or (w, eid) <= thr_u:
+                if not ok_u or eid in le_u or (w, eid) <= thr_u:
                     held.add(eid)
             return held
         return peer

@@ -645,6 +645,8 @@ def random_steps(n: int, f: int, k: int, seed):
     p = (f / n) ** (1 / k)
 
     def sample_fn(i, u, qpaths):
+        if len(qpaths) <= 1:  # nothing to draw, so no stream to make
+            return list(qpaths)
         return sample_fan_paths(qpaths, vertex_stream(seed, "sample", i, u), ell)
 
     def centers_fn(i, centers, fans):

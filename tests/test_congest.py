@@ -1,4 +1,6 @@
 import hashlib
+from collections import Counter
+from itertools import repeat
 
 import pytest
 
@@ -6,7 +8,7 @@ from ftspanner.cli import _dump_message_log
 from ftspanner.congest import (BandwidthExceeded, Network, RoundReport,
                                simulate_distributed_spanner, tree_broadcast)
 from ftspanner.graphs import Graph, generate
-from ftspanner.meta import build_ft_spanner
+from ftspanner.meta import Offer, build_ft_spanner
 
 
 def test_network_bandwidth_enforced():
@@ -29,6 +31,37 @@ def test_network_chunking_and_stats():
     assert net.bits_total == bits
     assert [b for _, _, b, _ in net.log] == [net.B, net.B, net.B, 1]
     assert net.tags == {"x": {"rounds": rounds, "messages": 4, "bits": bits}}
+
+
+def test_broadcast_wave_accounted_as_per_receiver_payloads():
+    # a wave in the broadcast form costs what the same wave costs with a
+    # payload per receiver, multi-chunk messages included, and each
+    # receiver hears the same payload
+    g = generate("complete", n=5)
+    wave = [(0, (1, 2, 3), 3 * 4 * 3 + 1, "a"), (2, (0, 4), 5, "b"),
+            (4, (), 50, "c"), (3, (0, 1, 2, 4), 2 * 4 * 3, "d")]
+
+    def run(broadcast, record_messages=True):
+        net = Network(g, record_messages=record_messages)
+        assert net.B == 4 * 3  # the bits above cut into 4, 1, 2 chunks
+        net.transmit("y", [(0, (1,), 7, ("first",))])  # an earlier wave
+        sends = [(src, len(to) if not record_messages else to, bits,
+                  payload if broadcast else repeat(payload, len(to)))
+                 for src, to, bits, payload in wave]
+        inbox, rounds = net.transmit("x", sends, broadcast=broadcast)
+        return net, inbox, rounds
+
+    net, inbox, rounds = run(False)
+    assert rounds == 4 and {b for _, _, b, tag in net.log if tag == "x"} == {12, 1, 5}
+    stats = (net.round, net.messages, net.bits_total, net.max_bits, net.tags, net.log)
+    for record_messages in (True, False):
+        bnet, box, brounds = run(True, record_messages)
+        assert brounds == rounds
+        assert (bnet.round, bnet.messages, bnet.bits_total, bnet.max_bits,
+                bnet.tags) == stats[:5]
+        assert bnet.log == (stats[5] if record_messages else None)
+        assert {dst: {src: box[src] for src in got} for dst, got in inbox.items()} == inbox
+        assert box == {0: "a", 2: "b", 3: "d"}  # a send to nobody is not delivered
 
 
 def test_network_rejects_bandwidth_below_one():
@@ -109,6 +142,53 @@ def test_message_log_obeys_bandwidth_model():
     assert pr.log is None
     assert pr.to_dict() == rr.to_dict() and pr.tags == rr.tags
     assert plain.edges == res.edges
+
+
+class LocalView:
+    """One vertex's view of a broadcast wave that fails on any sender that
+    is not the vertex's remaining-edge neighbor in the phase, and counts
+    the reads it lets through per wave."""
+
+    def __init__(self, wave, v, neighbors, reads):
+        self.wave, self.v, self.neighbors, self.reads = wave, v, neighbors, reads
+
+    def __getitem__(self, u):
+        if u not in self.neighbors:
+            raise AssertionError(f"vertex {self.v} read the broadcast of non-neighbor {u}")
+        payload = self.wave[u]
+        if isinstance(payload, Offer):
+            self.reads["paths"] += 1
+        elif isinstance(payload[-1], set):  # (clustered, threshold, purchases)
+            self.reads["edge-state"] += 1
+        else:  # one head flag per transmitted sample
+            self.reads["heads"] += 1
+        return payload
+
+
+def test_broadcast_reads_stay_local(monkeypatch):
+    # every vertex reads a broadcast wave only through Network.heard; a
+    # view that admits only the phase's remaining-edge neighbors changes
+    # nothing on builds that cluster in phase 2 and drop edges
+    paths = Network.paths
+
+    def phase_paths(self, samples, inc):
+        self.phase_neighbors = {v: {u for _, _, u in inc_v} for v, inc_v in inc.items()}
+        return paths(self, samples, inc)
+
+    monkeypatch.setattr(Network, "paths", phase_paths)
+    reads = Counter()
+    monkeypatch.setattr(Network, "heard", lambda self, v, wave: LocalView(
+        wave, v, self.phase_neighbors[v], reads))
+    complete = generate("complete", n=60, seed=1, weights=(1, 1000))
+    gnp = generate("gnp", n=60, p=0.5, seed=7, weights=(1, 40))
+    for g, k in ((complete, 3), (gnp, 2), (gnp, 3)):
+        reads.clear()
+        res, _ = simulate_distributed_spanner(g, 1, k, seed=0, c_k=1)
+        assert res.edges == build_ft_spanner(g, 1, k, seed=0, c_k=1).edges
+        assert res.trace[0].clustered > 0 and res.edge_count < g.m
+        if k == 3:
+            assert res.trace[1].clustered > 0
+        assert set(reads) == {"paths", "heads", "edge-state"} and min(reads.values()) > 0
 
 
 def test_registrations_handled_shortest_first(tmp_path):
