@@ -168,7 +168,7 @@ class LocalView:
 def test_broadcast_reads_stay_local(monkeypatch):
     # every vertex reads a broadcast wave only through Network.heard; a
     # view that admits only the phase's remaining-edge neighbors changes
-    # nothing on builds that cluster in phase 2 and drop edges
+    # nothing on builds that cluster (at k=3 also in phase 2) and drop edges
     paths = Network.paths
 
     def phase_paths(self, samples, inc):
